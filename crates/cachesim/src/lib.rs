@@ -719,24 +719,28 @@ struct Tlb {
     stamps: Vec<u64>,
     clock: u64,
     miss_penalty_x1000: u64,
-    /// Entry touched by the most recent access — a most-recently-used
-    /// shortcut that skips the full associative scan when consecutive
-    /// accesses stay on one page (the overwhelmingly common case for
-    /// strided loops). Behaviour is identical to the full scan: a hit
-    /// bumps the clock and restamps the entry either way.
-    mru: usize,
-    /// Direct-mapped page → entry hints, indexed by the page's low bits.
-    /// A hint is only *trusted* after verifying `pages[slot]` still holds
-    /// the page, so stale or colliding entries merely fall back to the
-    /// full scan — the shortcut can never change simulated behaviour.
-    /// This is what keeps inner loops that interleave accesses to many
-    /// arrays (hence many pages, defeating the MRU shortcut) from paying
-    /// a full associative scan per access.
+    /// Direct-mapped page → entry hints, indexed by a multiplicative
+    /// hash of the page ([`hint_index`]). A hint is only *trusted* after
+    /// verifying `pages[slot]` still holds the page, so stale or
+    /// colliding entries merely fall back to the full scan — the
+    /// shortcut can never change simulated behaviour. This is what keeps
+    /// inner loops that interleave accesses to many arrays (hence many
+    /// pages) from paying a full associative scan per access. The hash
+    /// matters: indexed by the page's low bits, arrays whose bases lie a
+    /// multiple of `2^TLB_HINT_BITS` pages apart (2 MB-apart Jacobi grids
+    /// on 128 B scaled pages) would evict each other's hints forever.
     hint: Vec<(u64, u32)>,
 }
 
 /// log2 of the TLB hint-table size.
 const TLB_HINT_BITS: u32 = 10;
+
+/// The hint-table slot of `page`: Fibonacci hashing, so pages spaced by
+/// any power of two spread over the whole table.
+#[inline]
+fn hint_index(page: u64) -> usize {
+    (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - TLB_HINT_BITS)) as usize
+}
 
 impl Tlb {
     fn new(desc: &TlbDesc) -> Self {
@@ -750,61 +754,55 @@ impl Tlb {
             stamps: vec![0; desc.entries],
             clock: 0,
             miss_penalty_x1000: desc.miss_penalty_cycles * 1000,
-            mru: 0,
             hint: vec![(INVALID, 0); 1 << TLB_HINT_BITS],
         }
     }
 
+    /// The entry the hint table names for `page`, if the hint is still
+    /// valid.
+    #[inline]
+    fn hinted(&self, page: u64) -> Option<u32> {
+        let (hint_page, hint_slot) = self.hint[hint_index(page)];
+        (hint_page == page && self.pages[hint_slot as usize] == page).then_some(hint_slot)
+    }
+
     /// Pure residency probe: the entry holding `page`, if any. Tries
-    /// the MRU and hint accelerators first (verified before trusted,
-    /// exactly like [`Tlb::access`]), falling back to the full scan.
-    /// No clock tick, no restamp, no accelerator update.
+    /// the hint first (verified before trusted, exactly like
+    /// [`Tlb::access`]), falling back to the full scan. No clock tick,
+    /// no restamp, no hint update.
     #[inline]
     fn probe(&self, page: u64) -> Option<u32> {
-        if self.pages[self.mru] == page {
-            return Some(self.mru as u32);
-        }
-        let (hint_page, hint_slot) = self.hint[(page as usize) & ((1usize << TLB_HINT_BITS) - 1)];
-        if hint_page == page && self.pages[hint_slot as usize] == page {
-            return Some(hint_slot);
-        }
-        self.pages.iter().position(|&p| p == page).map(|i| i as u32)
+        self.hinted(page)
+            .or_else(|| self.pages.iter().position(|&p| p == page).map(|i| i as u32))
     }
 
     #[inline]
     fn access(&mut self, addr: u64) -> (bool, u32) {
         let page = addr >> self.page_bits;
         self.clock += 1;
-        if self.pages[self.mru] == page {
-            self.stamps[self.mru] = self.clock;
-            return (true, self.mru as u32);
+        if let Some(slot) = self.hinted(page) {
+            self.stamps[slot as usize] = self.clock;
+            return (true, slot);
         }
-        let h = (page as usize) & ((1usize << TLB_HINT_BITS) - 1);
-        let (hint_page, hint_slot) = self.hint[h];
-        if hint_page == page && self.pages[hint_slot as usize] == page {
-            self.stamps[hint_slot as usize] = self.clock;
-            self.mru = hint_slot as usize;
-            return (true, hint_slot);
-        }
+        // Almost every hint miss is a true TLB miss, so find the page and
+        // the LRU victim in one pass with no early exit. The victim is the
+        // first entry with the strictly smallest stamp, the rule the
+        // fast-forward victim replay mirrors.
+        let mut found = usize::MAX;
         let mut victim = 0;
         let mut oldest = u64::MAX;
-        for i in 0..self.pages.len() {
-            if self.pages[i] == page {
-                self.stamps[i] = self.clock;
-                self.mru = i;
-                self.hint[h] = (page, i as u32);
-                return (true, i as u32);
-            }
-            if self.stamps[i] < oldest {
-                oldest = self.stamps[i];
-                victim = i;
-            }
+        for (i, (&p, &st)) in self.pages.iter().zip(&self.stamps).enumerate() {
+            found = if p == page { i } else { found };
+            let older = st < oldest;
+            oldest = if older { st } else { oldest };
+            victim = if older { i } else { victim };
         }
-        self.pages[victim] = page;
-        self.stamps[victim] = self.clock;
-        self.mru = victim;
-        self.hint[h] = (page, victim as u32);
-        (false, victim as u32)
+        let hit = found != usize::MAX;
+        let slot = if hit { found } else { victim };
+        self.pages[slot] = page;
+        self.stamps[slot] = self.clock;
+        self.hint[hint_index(page)] = (page, slot as u32);
+        (hit, slot as u32)
     }
 }
 
@@ -2247,17 +2245,61 @@ mod tests {
         out
     }
 
+    /// Interleaved unit-stride walks over arrays whose bases lie
+    /// multiples of `2^TLB_HINT_BITS` pages apart — the spacing that
+    /// aliases in a hint table indexed by the page's low bits. Phases
+    /// vary the number of live arrays from well under to well over the
+    /// TLB's entry count, so hits, LRU evictions and stale hints mix.
+    fn aliasing_stream(seed: u64, len: usize, m: &MachineDesc) -> Vec<(u64, AccessKind)> {
+        let page = m.tlb.page_bytes as u64;
+        let apart = page << TLB_HINT_BITS;
+        let max_arrays = m.tlb.entries as u64 + 8;
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut offs = vec![0u64; max_arrays as usize];
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let live = 2 + next() % (max_arrays - 1);
+            let trips = 1 + next() % 40;
+            for _ in 0..trips {
+                for a in 0..live {
+                    let kind = match next() % 10 {
+                        0..=5 => AccessKind::Load,
+                        6..=8 => AccessKind::Store,
+                        _ => AccessKind::Prefetch,
+                    };
+                    let base = a * apart * (1 + a % 3);
+                    let off = &mut offs[a as usize];
+                    out.push((base + *off, kind));
+                    *off = (*off + 8) % (4 * page);
+                }
+            }
+        }
+        out.truncate(len);
+        out
+    }
+
     #[test]
     fn fast_paths_match_naive_model() {
+        let m = tiny_machine();
         for seed in [3u64, 17, 92, 1234] {
-            let m = tiny_machine();
-            let mut fast = MemoryHierarchy::new(&m);
-            let mut slow = naive::Model::new(&m);
-            for (addr, kind) in pseudo_stream(seed, 4000, 16384) {
-                fast.access(addr, kind);
-                slow.access(addr, kind);
+            for stream in [
+                pseudo_stream(seed, 4000, 16384),
+                aliasing_stream(seed, 4000, &m),
+            ] {
+                let mut fast = MemoryHierarchy::new(&m);
+                let mut slow = naive::Model::new(&m);
+                for (addr, kind) in stream {
+                    fast.access(addr, kind);
+                    slow.access(addr, kind);
+                }
+                assert_eq!(fast.into_counters(), slow.counters, "seed {seed}");
             }
-            assert_eq!(fast.into_counters(), slow.counters, "seed {seed}");
         }
     }
 
@@ -2267,13 +2309,20 @@ mod tests {
             MachineDesc::sgi_r10000().scaled(32),
             MachineDesc::ultrasparc_iie().scaled(32),
         ] {
-            let mut fast = MemoryHierarchy::new(&m);
-            let mut slow = naive::Model::new(&m);
-            for (addr, kind) in pseudo_stream(7, 6000, 1 << 20) {
-                fast.access(addr, kind);
-                slow.access(addr, kind);
+            for stream in [
+                pseudo_stream(7, 6000, 1 << 20),
+                aliasing_stream(7, 40_000, &m),
+            ] {
+                let mut fast = MemoryHierarchy::new(&m);
+                let mut slow = naive::Model::new(&m);
+                for (addr, kind) in stream {
+                    fast.access(addr, kind);
+                    slow.access(addr, kind);
+                }
+                let c = fast.into_counters();
+                assert!(c.tlb_misses > 0, "the stream must evict TLB entries");
+                assert_eq!(c, slow.counters, "machine {}", m.name);
             }
-            assert_eq!(fast.into_counters(), slow.counters, "machine {}", m.name);
         }
     }
 

@@ -360,18 +360,17 @@ impl EventStream {
     }
 
     fn emit_record(&self, head: &str, span: u64, tail: &str, attrs: &Attrs) {
+        let mut rest = String::with_capacity(96);
+        let _ = write!(rest, ",\"span\":{span}");
+        rest.push_str(tail);
+        attrs.render_into(&mut rest);
+        rest.push('}');
+        // `seq` is taken under the writer lock: taken before it, two
+        // emitters could write their lines in the opposite order.
+        let mut w = self.writer.lock().expect("event writer lock");
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let t_us = self.t0.elapsed().as_micros() as u64;
-        let mut line = String::with_capacity(96);
-        let _ = write!(
-            line,
-            "{{\"ev\":\"{head}\",\"seq\":{seq},\"t_us\":{t_us},\"span\":{span}"
-        );
-        line.push_str(tail);
-        attrs.render_into(&mut line);
-        line.push('}');
-        let mut w = self.writer.lock().expect("event writer lock");
-        let _ = writeln!(w, "{line}");
+        let _ = writeln!(w, "{{\"ev\":\"{head}\",\"seq\":{seq},\"t_us\":{t_us}{rest}");
     }
 
     /// Opens a span and emits its `span_open` record. `parent` is the
@@ -818,6 +817,31 @@ mod tests {
         s.event("global", None, Attrs::new().bool("ok", true));
         let summary = check_stream(&collect(&s, &buf)).expect("valid");
         assert_eq!(summary.events, 1);
+    }
+
+    #[test]
+    fn concurrent_emitters_write_lines_in_seq_order() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 2000;
+        let (s, buf) = fresh();
+        let start = std::sync::Barrier::new(THREADS);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        s.event(
+                            "tick",
+                            None,
+                            Attrs::new().uint("thread", t as u64).uint("i", i as u64),
+                        );
+                    }
+                });
+            }
+        });
+        let summary = check_stream(&collect(&s, &buf)).expect("seq order matches line order");
+        assert_eq!(summary.events, THREADS * PER_THREAD);
     }
 
     #[test]

@@ -295,15 +295,14 @@ impl ExecutablePlan {
         let env = params.env_for(&self.program)?;
         let mut ctx = MeasureCtx {
             plan: self,
-            dstrides: elem_strides(&layout),
+            sites: SiteTable::new(self, &layout, 8),
             layout: &layout,
             env,
             hi_slots: vec![0; self.loop_slots],
             hier: MemoryHierarchy::new(machine),
             attribute,
-            runs: Vec::new(),
             streams: Vec::new(),
-            active_sites: Vec::new(),
+            active_runs: Vec::new(),
         };
         ctx.run()?;
         Ok(ctx.hier.into_parts())
@@ -331,16 +330,15 @@ impl ExecutablePlan {
         let env = params.env_for(&self.program)?;
         let mut ctx = NumericCtx {
             plan: self,
-            dstrides: elem_strides(layout),
+            sites: SiteTable::new(self, layout, 1),
             layout,
             env,
             hi_slots: vec![0; self.loop_slots],
             temps: vec![0.0; self.program.temps.len()],
             stack: Vec::with_capacity(self.max_stack),
             storage,
-            runs: Vec::new(),
+            streams: Vec::new(),
             flats: Vec::new(),
-            active_sites: Vec::new(),
             active_runs: Vec::new(),
         };
         ctx.run()
@@ -389,23 +387,6 @@ pub fn measure_attributed(
     layout_opts: &LayoutOptions,
 ) -> Result<Counters, ExecError> {
     ExecutablePlan::compile(program)?.measure_attributed(params, machine, layout_opts)
-}
-
-/// Per-array column-major element strides: `dstrides[a][d]` is the
-/// distance in elements between neighbours along dimension `d`.
-fn elem_strides(layout: &ArrayLayout) -> Vec<Vec<i64>> {
-    (0..layout.num_arrays())
-        .map(|a| {
-            let exts = layout.extents(ArrayId(a as u32));
-            let mut ds = Vec::with_capacity(exts.len());
-            let mut s = 1i64;
-            for &e in exts {
-                ds.push(s);
-                s *= e;
-            }
-            ds
-        })
-        .collect()
 }
 
 /// `floor(a / b)` for any sign of `a`, positive or negative `b`.
@@ -652,125 +633,302 @@ impl Compiler {
     }
 }
 
-/// One site of a fused loop, bound to concrete addresses for one loop
-/// entry: `addr` advances by `stride` per iteration, and the access is
-/// performed only for iterations `t` in `[vlo, vhi]` (demand sites are
-/// pre-checked to cover the whole trip count).
-#[derive(Debug, Clone, Copy)]
-struct RunSite {
-    /// Current address/flat-index (bytes for measurement, elements for
-    /// numeric execution). May be out of range outside `[vlo, vhi]`.
-    addr: i64,
-    /// Per-iteration delta (bytes or elements).
-    stride: i64,
-    /// First valid 0-based iteration.
-    vlo: i64,
-    /// Last valid 0-based iteration.
-    vhi: i64,
-    kind: AccessKind,
-    tag: usize,
+/// The exact valid-iteration interval `[vlo, vhi]` within `[0, last]` of
+/// a site whose subscript in dimension `d` at iteration `t` is
+/// `konsts[d] + vpart[d] + dims[d].step * t`; `vlo > vhi` when it is
+/// never valid.
+fn valid_interval(dims: &[FamDim], vpart: &[i64], konsts: &[i64], last: i64) -> (i64, i64) {
+    let mut vlo = 0i64;
+    let mut vhi = last;
+    for ((d, &v), &k) in dims.iter().zip(vpart).zip(konsts) {
+        let (a, b, e) = (k + v, d.step, d.extent);
+        if b == 0 {
+            if a < 0 || a >= e {
+                return (1, 0);
+            }
+        } else if b > 0 {
+            vlo = vlo.max(ceil_div(-a, b));
+            vhi = vhi.min(floor_div(e - 1 - a, b));
+        } else {
+            vlo = vlo.max(ceil_div(e - 1 - a, b));
+            vhi = vhi.min(floor_div(-a, b));
+        }
+    }
+    (vlo, vhi)
 }
 
-/// Binds the listed sites of a fused loop at entry (`env[var]` must
-/// already hold the lower bound). `unit` is 8 for byte addressing
-/// (measurement) or 1 for element addressing (numeric execution); the
-/// base address is included only for `unit == 8`.
-#[allow(clippy::too_many_arguments)]
-fn bind_sites(
-    plan: &ExecutablePlan,
-    layout: &ArrayLayout,
-    dstrides: &[Vec<i64>],
-    env: &[i64],
-    var: usize,
-    step: i64,
-    trips: i64,
-    site_ids: &[u32],
+/// The fused-loop sites of a plan bound to one array layout, built once
+/// per execution so that entering a fused loop costs a few adds and
+/// compares per site.
+///
+/// The sites of each [`GuardedRun`] are grouped into *families*: sites
+/// of one array and access class whose subscripts have identical
+/// variable terms and differ only in their constants — the copies an
+/// unroll produces. At loop entry each family's variable part is
+/// evaluated once per dimension; a member's address is its precomputed
+/// constant part plus that. Bounds are checked only at the first and
+/// last iteration (subscripts are affine in the iteration), first for
+/// the whole family through the members' constant range, then per
+/// member; only a site that leaves its array pays the exact `floor_div`
+/// / `ceil_div` valid-interval computation.
+///
+/// `unit` is 8 for byte addressing (measurement; member addresses
+/// include the array base) or 1 for element addressing (numeric
+/// execution; flat indices, no base).
+struct SiteTable {
     unit: i64,
-    runs: &mut Vec<RunSite>,
-) {
-    runs.clear();
-    for &sid in site_ids {
-        let site = &plan.sites[sid as usize];
-        let exts = layout.extents(site.array);
-        let ds = &dstrides[site.array.index()];
-        let mut flat = 0i64;
-        let mut stride = 0i64;
-        let mut vlo = 0i64;
-        let mut vhi = trips - 1;
-        for d in 0..exts.len() {
-            let a = site.idx[d].eval_slice(env);
-            let b = site.idx[d].coeff(VarId(var as u32)) * step;
-            flat += a * ds[d];
-            stride += b * ds[d];
-            let e = exts[d];
-            if b == 0 {
-                if a < 0 || a >= e {
-                    // never valid
-                    vlo = 1;
-                    vhi = 0;
+    /// Family range of each guarded run, indexed like `plan.gruns`.
+    run_fams: Vec<(u32, u32)>,
+    fams: Vec<Family>,
+    dims: Vec<FamDim>,
+    /// `(env index, coefficient)` terms of every family dimension.
+    terms: Vec<(u32, i64)>,
+    members: Vec<Member>,
+    /// Each member's subscript constants, one per dimension.
+    konsts: Vec<i64>,
+    /// Scratch: the binding family's variable part per dimension.
+    vpart: Vec<i64>,
+}
+
+struct Family {
+    dims: (u32, u32),
+    members: (u32, u32),
+    /// Per-iteration address delta (bytes or elements, per `unit`).
+    stride: i64,
+    /// The array id, as the simulator's attribution tag.
+    tag: u32,
+}
+
+/// One subscript dimension of a family.
+struct FamDim {
+    /// The subscript's variable terms, the fused variable included.
+    terms: (u32, u32),
+    /// Subscript delta per fused-loop iteration.
+    step: i64,
+    extent: i64,
+    /// Distance in elements between neighbours along this dimension.
+    elem_stride: i64,
+    /// Smallest and largest member constant.
+    kmin: i64,
+    kmax: i64,
+}
+
+struct Member {
+    sid: u32,
+    /// Start of this member's constants in [`SiteTable::konsts`].
+    konsts: u32,
+    /// Address of the subscripts' constant part (bytes including the
+    /// array base, or a flat element index, per `unit`).
+    addr0: i64,
+    kind: AccessKind,
+}
+
+impl SiteTable {
+    fn new(plan: &ExecutablePlan, layout: &ArrayLayout, unit: i64) -> SiteTable {
+        let mut t = SiteTable {
+            unit,
+            run_fams: vec![(0, 0); plan.gruns.len()],
+            fams: Vec::new(),
+            dims: Vec::new(),
+            terms: Vec::new(),
+            members: Vec::new(),
+            konsts: Vec::new(),
+            vpart: Vec::new(),
+        };
+        for inst in &plan.insts {
+            let Inst::Fused {
+                var, step, runs, ..
+            } = inst
+            else {
+                continue;
+            };
+            let var = VarId(*var as u32);
+            for ri in runs.0..runs.1 {
+                let g = &plan.gruns[ri as usize];
+                // Demand and prefetch sites form separate families, so a
+                // prefetch running past an edge does not send its
+                // demand siblings to the per-member bounds check.
+                let mut fams: Vec<Vec<u32>> = Vec::new();
+                for sid in g.sites.0..g.sites.1 {
+                    let s = &plan.sites[sid as usize];
+                    let same = |r: &Site| {
+                        r.array == s.array
+                            && matches!(r.kind, AccessKind::Prefetch)
+                                == matches!(s.kind, AccessKind::Prefetch)
+                            && r.idx
+                                .iter()
+                                .zip(&s.idx)
+                                .all(|(x, y)| x.terms() == y.terms())
+                    };
+                    match fams.iter_mut().find(|f| same(&plan.sites[f[0] as usize])) {
+                        Some(f) => f.push(sid),
+                        None => fams.push(vec![sid]),
+                    }
                 }
-            } else if b > 0 {
-                vlo = vlo.max(ceil_div(-a, b));
-                vhi = vhi.min(floor_div(e - 1 - a, b));
-            } else {
-                vlo = vlo.max(ceil_div(e - 1 - a, b));
-                vhi = vhi.min(floor_div(-a, b));
+                let f0 = t.fams.len() as u32;
+                for members in &fams {
+                    t.push_family(&plan.sites, layout, var, *step, members);
+                }
+                t.run_fams[ri as usize] = (f0, t.fams.len() as u32);
             }
         }
-        let base = if unit == 8 {
-            layout.base(site.array) as i64
+        t
+    }
+
+    /// Appends the family of the `members` site ids (the first one
+    /// stands for all) in a fused loop over `var` stepping by `step`.
+    fn push_family(
+        &mut self,
+        sites: &[Site],
+        layout: &ArrayLayout,
+        var: VarId,
+        step: i64,
+        members: &[u32],
+    ) {
+        let rep = &sites[members[0] as usize];
+        let d0 = self.dims.len() as u32;
+        let m0 = self.members.len() as u32;
+        let mut elem_stride = 1i64;
+        let mut stride = 0i64;
+        for (e, &extent) in rep.idx.iter().zip(layout.extents(rep.array)) {
+            let t0 = self.terms.len() as u32;
+            self.terms
+                .extend(e.terms().iter().map(|&(v, c)| (v.index() as u32, c)));
+            let dstep = e.coeff(var) * step;
+            stride += dstep * elem_stride;
+            self.dims.push(FamDim {
+                terms: (t0, self.terms.len() as u32),
+                step: dstep,
+                extent,
+                elem_stride,
+                kmin: i64::MAX,
+                kmax: i64::MIN,
+            });
+            elem_stride *= extent;
+        }
+        let base = if self.unit == 8 {
+            layout.base(rep.array) as i64
         } else {
             0
         };
-        runs.push(RunSite {
-            addr: base + flat * unit,
-            stride: stride * unit,
-            vlo,
-            vhi,
-            kind: site.kind,
-            tag: site.array.index(),
+        for &sid in members {
+            let site = &sites[sid as usize];
+            let k0 = self.konsts.len() as u32;
+            let mut flat = 0i64;
+            for (d, e) in self.dims[d0 as usize..].iter_mut().zip(&site.idx) {
+                let k = e.constant_part();
+                d.kmin = d.kmin.min(k);
+                d.kmax = d.kmax.max(k);
+                flat += k * d.elem_stride;
+                self.konsts.push(k);
+            }
+            self.members.push(Member {
+                sid,
+                konsts: k0,
+                addr0: base + flat * self.unit,
+                kind: site.kind,
+            });
+        }
+        self.fams.push(Family {
+            dims: (d0, self.dims.len() as u32),
+            members: (m0, self.members.len() as u32),
+            stride: stride * self.unit,
+            tag: rep.array.index() as u32,
         });
     }
-}
 
-/// The first out-of-bounds demand access of a fused loop in trace
-/// order, as `(iteration, site position)`, or `None` if every demand
-/// site covers the whole trip count.
-fn first_oob(runs: &[RunSite], trips: i64) -> Option<(i64, usize)> {
-    let mut bad: Option<(i64, usize)> = None;
-    for (pos, r) in runs.iter().enumerate() {
-        if matches!(r.kind, AccessKind::Prefetch) {
-            continue;
+    /// Binds the sites of the `active` guarded runs for one entry to a
+    /// fused loop of `trips` iterations (`env` must hold the loop's
+    /// lower bound), writing one stream per site, in site order, to
+    /// `out`. Each stream's `[vlo, vhi]` is its valid-iteration
+    /// interval clamped to `[0, trips - 1]`; a stream that is never
+    /// valid has `vlo > vhi`. Returns the first out-of-bounds demand
+    /// access in trace order as `(iteration, site id)`, if any.
+    fn bind(
+        &mut self,
+        gruns: &[GuardedRun],
+        env: &[i64],
+        trips: i64,
+        active: &[u32],
+        out: &mut Vec<StreamSpec>,
+    ) -> Option<(i64, u32)> {
+        let last = trips - 1;
+        let mut bad: Option<(i64, u32)> = None;
+        out.clear();
+        for &ri in active {
+            let sites = gruns[ri as usize].sites;
+            let off = out.len();
+            // Placeholders: the run's families cover each of its sites
+            // exactly once.
+            out.resize(
+                off + (sites.1 - sites.0) as usize,
+                StreamSpec {
+                    base: 0,
+                    stride: 0,
+                    vlo: 0,
+                    vhi: 0,
+                    kind: AccessKind::Load,
+                    tag: 0,
+                },
+            );
+            let (f0, f1) = self.run_fams[ri as usize];
+            for fam in &self.fams[f0 as usize..f1 as usize] {
+                let dims = &self.dims[fam.dims.0 as usize..fam.dims.1 as usize];
+                self.vpart.clear();
+                let mut flat = 0i64;
+                let mut inside = true;
+                for d in dims {
+                    let v: i64 = self.terms[d.terms.0 as usize..d.terms.1 as usize]
+                        .iter()
+                        .map(|&(x, c)| c * env[x as usize])
+                        .sum();
+                    self.vpart.push(v);
+                    flat += v * d.elem_stride;
+                    let end = v + d.step * last;
+                    inside &= v.min(end) + d.kmin >= 0 && v.max(end) + d.kmax < d.extent;
+                }
+                for m in &self.members[fam.members.0 as usize..fam.members.1 as usize] {
+                    let (vlo, vhi) = if inside {
+                        (0, last)
+                    } else {
+                        let konsts = &self.konsts[m.konsts as usize..];
+                        valid_interval(dims, &self.vpart, konsts, last)
+                    };
+                    out[off + (m.sid - sites.0) as usize] = StreamSpec {
+                        base: m.addr0 + flat * self.unit,
+                        stride: fam.stride,
+                        vlo,
+                        vhi,
+                        kind: m.kind,
+                        tag: fam.tag,
+                    };
+                    if matches!(m.kind, AccessKind::Prefetch) || (vlo == 0 && vhi == last) {
+                        continue;
+                    }
+                    let t = if vlo > 0 { 0 } else { vhi + 1 };
+                    if bad.is_none_or(|b| (t, m.sid) < b) {
+                        bad = Some((t, m.sid));
+                    }
+                }
+            }
         }
-        let t = if r.vlo > 0 {
-            0
-        } else if r.vhi < trips - 1 {
-            r.vhi + 1
-        } else {
-            continue;
-        };
-        if bad.is_none_or(|(bt, bp)| (t, pos) < (bt, bp)) {
-            bad = Some((t, pos));
-        }
+        bad
     }
-    bad
 }
 
 /// Architectural (cache-simulation) executor state.
 struct MeasureCtx<'a> {
     plan: &'a ExecutablePlan,
     layout: &'a ArrayLayout,
-    dstrides: Vec<Vec<i64>>,
+    sites: SiteTable,
     env: Vec<i64>,
     hi_slots: Vec<i64>,
     hier: MemoryHierarchy,
     attribute: bool,
-    /// Reusable fused-loop binding scratch.
-    runs: Vec<RunSite>,
     /// Reusable batch scratch handed to the simulator.
     streams: Vec<StreamSpec>,
-    /// Reusable scratch: site ids of the guard-active runs, in order.
-    active_sites: Vec<u32>,
+    /// Reusable scratch: indices into `plan.gruns` of the active runs.
+    active_runs: Vec<u32>,
 }
 
 impl MeasureCtx<'_> {
@@ -885,61 +1043,39 @@ impl MeasureCtx<'_> {
         self.hier.add_loop_iterations(trips as u64);
         self.env[var] = l;
         // Guards are invariant in `var`: decide each run once at entry.
-        let mut sids = std::mem::take(&mut self.active_sites);
-        sids.clear();
+        let plan = self.plan;
+        self.active_runs.clear();
         let mut flops = 0u64;
-        for g in &self.plan.gruns[rrange.0 as usize..rrange.1 as usize] {
+        for ri in rrange.0..rrange.1 {
+            let g = &plan.gruns[ri as usize];
             if g.conds.iter().all(|c| c.eval_slice(&self.env)) {
-                sids.extend(g.sites.0..g.sites.1);
+                self.active_runs.push(ri);
                 flops += g.flops;
             }
         }
-        let mut runs = std::mem::take(&mut self.runs);
-        bind_sites(
-            self.plan,
-            self.layout,
-            &self.dstrides,
+        let bad = self.sites.bind(
+            &plan.gruns,
             &self.env,
-            var,
-            step,
             trips,
-            &sids,
-            8,
-            &mut runs,
+            &self.active_runs,
+            &mut self.streams,
         );
-        if let Some((t, pos)) = first_oob(&runs, trips) {
+        if let Some((t, sid)) = bad {
             self.env[var] = l + t * step;
-            let site = &self.plan.sites[sids[pos] as usize];
-            self.active_sites = sids;
-            return Err(self.plan.oob(site, &self.env, self.layout));
+            return Err(plan.oob(&plan.sites[sid as usize], &self.env, self.layout));
         }
-        self.active_sites = sids;
         if flops > 0 {
             self.hier.add_flops(flops * trips as u64);
         }
         // Hand the whole loop to the simulator as one batch of strided
         // streams: demand sites cover the full trip range (checked
-        // above), prefetch sites may be valid only on a sub-interval.
-        // The simulator coalesces line runs and fast-forwards
-        // provably-resident windows — bit-identical to the per-access
-        // interleaved walk.
-        let mut streams = std::mem::take(&mut self.streams);
-        streams.clear();
-        streams.extend(
-            runs.iter()
-                .filter(|r| r.vlo.max(0) <= r.vhi.min(trips - 1))
-                .map(|r| StreamSpec {
-                    base: r.addr,
-                    stride: r.stride,
-                    vlo: r.vlo.max(0),
-                    vhi: r.vhi.min(trips - 1),
-                    kind: r.kind,
-                    tag: r.tag as u32,
-                }),
-        );
-        self.hier.access_streams(&streams, trips, self.attribute);
-        self.streams = streams;
-        self.runs = runs;
+        // above), prefetch sites may be valid only on a sub-interval or
+        // not at all. The simulator coalesces line runs and
+        // fast-forwards provably-resident windows — bit-identical to the
+        // per-access interleaved walk.
+        self.streams.retain(|s| s.vlo <= s.vhi);
+        self.hier
+            .access_streams(&self.streams, trips, self.attribute);
         self.env[var] = l + (trips - 1) * step;
         Ok(())
     }
@@ -949,18 +1085,17 @@ impl MeasureCtx<'_> {
 struct NumericCtx<'a> {
     plan: &'a ExecutablePlan,
     layout: &'a ArrayLayout,
-    dstrides: Vec<Vec<i64>>,
+    sites: SiteTable,
     env: Vec<i64>,
     hi_slots: Vec<i64>,
     temps: Vec<f64>,
     stack: Vec<f64>,
     storage: &'a mut Storage,
-    runs: Vec<RunSite>,
+    /// Reusable fused-loop binding scratch (flat element indices).
+    streams: Vec<StreamSpec>,
     /// Per-site flat element indices of the block being executed,
     /// indexed relative to the block's first site.
     flats: Vec<i64>,
-    /// Reusable scratch: site ids of the guard-active runs, in order.
-    active_sites: Vec<u32>,
     /// Reusable scratch: indices into `plan.gruns` of the active runs.
     active_runs: Vec<u32>,
 }
@@ -1068,43 +1203,31 @@ impl NumericCtx<'_> {
         let trips = (h - l) / step + 1;
         self.env[var] = l;
         // Guards are invariant in `var`: decide each run once at entry.
-        let mut sids = std::mem::take(&mut self.active_sites);
         let mut active = std::mem::take(&mut self.active_runs);
-        sids.clear();
         active.clear();
         for ri in rrange.0..rrange.1 {
             let g = &self.plan.gruns[ri as usize];
             if g.conds.iter().all(|c| c.eval_slice(&self.env)) {
-                sids.extend(g.sites.0..g.sites.1);
                 active.push(ri);
             }
         }
-        let mut runs = std::mem::take(&mut self.runs);
-        bind_sites(
-            self.plan,
-            self.layout,
-            &self.dstrides,
+        let bad = self.sites.bind(
+            &self.plan.gruns,
             &self.env,
-            var,
-            step,
             trips,
-            &sids,
-            1,
-            &mut runs,
+            &active,
+            &mut self.streams,
         );
-        if let Some((t, pos)) = first_oob(&runs, trips) {
-            self.env[var] = l + t * step;
-            let site = &self.plan.sites[sids[pos] as usize];
-            let err = self.plan.oob(site, &self.env, self.layout);
-            self.active_sites = sids;
+        if let Some((t, sid)) = bad {
             self.active_runs = active;
-            self.runs = runs;
-            return Err(err);
+            self.env[var] = l + t * step;
+            let site = &self.plan.sites[sid as usize];
+            return Err(self.plan.oob(site, &self.env, self.layout));
         }
-        self.active_sites = sids;
+        let streams = std::mem::take(&mut self.streams);
         let mut flats = std::mem::take(&mut self.flats);
         flats.clear();
-        flats.extend(runs.iter().map(|r| r.addr));
+        flats.extend(streams.iter().map(|s| s.base));
         let plan = self.plan;
         for _ in 0..trips {
             let mut off = 0usize;
@@ -1114,12 +1237,12 @@ impl NumericCtx<'_> {
                 self.exec_vops(g.vops, &flats[off..off + n], g.sites.0);
                 off += n;
             }
-            for (f, r) in flats.iter_mut().zip(&runs) {
-                *f += r.stride;
+            for (f, s) in flats.iter_mut().zip(&streams) {
+                *f += s.stride;
             }
         }
         self.flats = flats;
-        self.runs = runs;
+        self.streams = streams;
         self.active_runs = active;
         self.env[var] = l + (trips - 1) * step;
         Ok(())
@@ -1488,6 +1611,109 @@ mod tests {
         let params = Params::new().with(n, 50);
         assert_measure_parity(&p, &params);
         assert_numeric_parity(&p, &params);
+        for (_, p, params) in short_fused_cases(true) {
+            assert_measure_parity(&p, &params);
+            assert_numeric_parity(&p, &params);
+        }
+    }
+
+    /// `DO J = 0,N-1 { DO I = J, hi, S { body } }` with `hi = J + (T-1)*S`,
+    /// capped at `N-1` when `capped`: a fused loop of at most `T` trips
+    /// per entry whose sites have non-unit (`A[2I+c, J]`) and negative
+    /// (`B[N-1-I]`) strides, come in unroll-style families differing only
+    /// in their constants (two `A` prefetches, one always valid and one
+    /// valid on only part of the range; three `A` loads), and span two
+    /// guarded runs (the second guarded by `J >= 1`, invariant in `I`).
+    /// Uncapped, `I` runs past `N-1` and the last entries fault mid-loop.
+    fn short_fused_loops(trips: i64, step: i64, capped: bool) -> Program {
+        let mut p = Program::new("short_fused");
+        let n = p.add_param("N");
+        let (j, i) = (p.add_loop_var("J"), p.add_loop_var("I"));
+        let a = p.add_array("A", vec![AffineExpr::var(n) * 2, AffineExpr::var(n)]);
+        let b = p.add_array("B", vec![AffineExpr::var(n)]);
+        let n1 = AffineExpr::var(n) - AffineExpr::constant(1);
+        let a_at = |c: i64, col: AffineExpr| {
+            ArrayRef::new(
+                a,
+                vec![AffineExpr::var(i) * 2 + AffineExpr::constant(c), col],
+            )
+        };
+        let b_at = |c: i64| {
+            ArrayRef::new(
+                b,
+                vec![n1.clone() - AffineExpr::var(i) - AffineExpr::constant(c)],
+            )
+        };
+        let body = vec![
+            Stmt::Prefetch {
+                target: a_at(0, AffineExpr::var(j)),
+            },
+            Stmt::Prefetch {
+                target: a_at(6, AffineExpr::var(j)),
+            },
+            Stmt::Prefetch { target: b_at(2) },
+            Stmt::Store {
+                target: b_at(0),
+                value: ScalarExpr::add(
+                    ScalarExpr::Load(a_at(0, AffineExpr::var(j))),
+                    ScalarExpr::mul(
+                        ScalarExpr::Load(a_at(1, AffineExpr::var(j))),
+                        ScalarExpr::Load(a_at(1, AffineExpr::var(j))),
+                    ),
+                ),
+            },
+            Stmt::If {
+                cond: Cond::le(AffineExpr::constant(1), AffineExpr::var(j)),
+                then: vec![Stmt::Store {
+                    target: a_at(0, AffineExpr::var(j) - AffineExpr::constant(1)),
+                    value: ScalarExpr::sub(
+                        ScalarExpr::Load(b_at(0)),
+                        ScalarExpr::Load(a_at(1, AffineExpr::var(j))),
+                    ),
+                }],
+            },
+        ];
+        let reach = AffineExpr::var(j) + AffineExpr::constant((trips - 1) * step);
+        let hi = if capped {
+            Bound::min_of(vec![reach, n1.clone()])
+        } else {
+            reach.into()
+        };
+        p.body.push(Stmt::For(Loop {
+            var: j,
+            lo: 0.into(),
+            hi: n1.into(),
+            step: 1,
+            body: vec![Stmt::For(Loop {
+                var: i,
+                lo: AffineExpr::var(j).into(),
+                hi,
+                step,
+                body,
+            })],
+        }));
+        p
+    }
+
+    /// [`short_fused_loops`] at 1–3 trips, steps 1 and 2, and two sizes,
+    /// as `(trips, program, params)`.
+    fn short_fused_cases(capped: bool) -> impl Iterator<Item = (i64, Program, Params)> {
+        (1..=3).flat_map(move |trips| {
+            [1, 2].into_iter().flat_map(move |step| {
+                let p = short_fused_loops(trips, step, capped);
+                let plan = ExecutablePlan::compile(&p).expect("compile");
+                assert!(
+                    plan.insts
+                        .iter()
+                        .any(|i| matches!(i, Inst::Fused { runs, .. } if runs.1 - runs.0 == 2)),
+                    "the I loop must fuse into two guarded runs"
+                );
+                [5i64, 8].map(|n| {
+                    let params = Params::new().with_named(&p, "N", n).expect("N");
+                    (trips, p.clone(), params)
+                })
+            })
+        })
     }
 
     #[test]
@@ -1606,6 +1832,18 @@ mod tests {
                 if array == "B" && indices == &vec![5]),
             "{got}"
         );
+        // Short fused loops that fault mid-loop, with partially valid
+        // prefetches and non-unit or negative strides around the fault.
+        for (trips, p, params) in short_fused_cases(false) {
+            let m = MachineDesc::sgi_r10000().scaled(32);
+            let faults = ExecutablePlan::compile(&p)
+                .expect("compile")
+                .measure(&params, &m, &opts())
+                .is_err();
+            assert_eq!(faults, trips > 1, "{trips} trips");
+            assert_measure_parity(&p, &params);
+            assert_numeric_parity(&p, &params);
+        }
     }
 
     #[test]
