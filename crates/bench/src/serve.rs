@@ -23,7 +23,9 @@
 //! ```
 //!
 //! Responses carry `"ok": true` plus op-specific fields, or
-//! `"ok": false` with an `"error"` message.
+//! `"ok": false` with an `"error"` message. A request line longer than
+//! [`MAX_REQUEST_LINE`] bytes is answered with `"ok": false` and
+//! `"code": "request_too_large"`, and its connection is closed.
 //!
 //! Concurrency: each connection is served by its own thread, and all
 //! connections share one [`Engine`] per machine fingerprint — so
@@ -78,7 +80,7 @@ use eco_metrics::{Counter, Gauge, Histogram, Registry};
 use eco_sched::sync::atomic::{AtomicBool, Ordering};
 use eco_sched::sync::{labeled_condvar, labeled_mutex, Arc, Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -86,6 +88,14 @@ use std::time::Instant;
 /// Protocol version answered by `ping` (bumped with
 /// [`eco_core::API_VERSION`] changes that affect the wire format).
 pub const PROTOCOL_VERSION: u64 = 1;
+
+/// Longest request line the daemon reads, in bytes (newline excluded).
+/// The largest lines this repository's clients send are `tune` and
+/// `shard` requests carrying a full machine description, 878 bytes
+/// (the `request_line_cap_covers_every_client_request` test measures
+/// them); the cap leaves over 70× headroom while bounding what one
+/// connection can make the daemon buffer.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Completed tune/shard requests retained for `trace` / `watch`
 /// replay, newest last.
@@ -278,6 +288,7 @@ struct ServeMetrics {
     deduped: Arc<Counter>,
     slow: Arc<Counter>,
     connections: Arc<Counter>,
+    oversized: Arc<Counter>,
 }
 
 impl ServeMetrics {
@@ -311,6 +322,11 @@ impl ServeMetrics {
         );
         let connections =
             registry.counter("eco_serve_connections_total", "Connections accepted.", &[]);
+        let oversized = registry.counter(
+            "eco_serve_oversized_requests_total",
+            "Request lines over MAX_REQUEST_LINE, answered request_too_large and closed.",
+            &[],
+        );
         ServeMetrics {
             registry,
             inflight,
@@ -318,6 +334,7 @@ impl ServeMetrics {
             deduped,
             slow,
             connections,
+            oversized,
         }
     }
 
@@ -541,6 +558,10 @@ impl Evaluator for WatchedEngine {
     fn events(&self) -> Option<&Arc<EventStream>> {
         Some(&self.events)
     }
+
+    fn candidates(&self) -> Option<&eco_exec::CandidateMemo> {
+        self.engine.candidates()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -720,9 +741,29 @@ fn serve_connection(inner: &ServerInner, stream: UnixStream, socket: &Path) {
         text.push('\n');
         writer.write_all(text.as_bytes()).is_ok() && writer.flush().is_ok()
     };
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+    let mut reader = BufReader::new(stream);
+    loop {
+        let line = match read_request_line(&mut reader) {
+            Ok(Some(line)) => line,
+            Ok(None) | Err(RequestLineError::Io) => break,
+            Err(RequestLineError::TooLarge) => {
+                inner.metrics.oversized.inc();
+                inner.log.info(&format!(
+                    "request line over {MAX_REQUEST_LINE} bytes; closing connection"
+                ));
+                let _ = write_line(
+                    Json::obj()
+                        .field("ok", Json::Bool(false))
+                        .field("code", Json::str("request_too_large"))
+                        .field(
+                            "error",
+                            Json::str(format!("request line exceeds {MAX_REQUEST_LINE} bytes")),
+                        )
+                        .render_compact(),
+                );
+                break;
+            }
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -754,6 +795,37 @@ fn serve_connection(inner: &ServerInner, stream: UnixStream, socket: &Path) {
         }
     }
     inner.log.debug("connection closed");
+}
+
+/// Why [`read_request_line`] produced no request.
+#[derive(Debug)]
+enum RequestLineError {
+    /// The line ran past [`MAX_REQUEST_LINE`] bytes.
+    TooLarge,
+    /// The socket failed or the line was not UTF-8.
+    Io,
+}
+
+/// Reads one request line of at most [`MAX_REQUEST_LINE`] bytes,
+/// newline stripped; `Ok(None)` at end of stream. Never buffers more
+/// than the cap plus one byte, however long the peer's line.
+fn read_request_line(reader: &mut impl BufRead) -> Result<Option<String>, RequestLineError> {
+    let mut buf = Vec::new();
+    let cap = MAX_REQUEST_LINE as u64 + 1;
+    let n = Read::take(&mut *reader, cap)
+        .read_until(b'\n', &mut buf)
+        .map_err(|_| RequestLineError::Io)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+    } else if buf.len() > MAX_REQUEST_LINE {
+        return Err(RequestLineError::TooLarge);
+    }
+    String::from_utf8(buf)
+        .map(Some)
+        .map_err(|_| RequestLineError::Io)
 }
 
 /// The fingerprint a watch header carries (0 when absent).

@@ -30,12 +30,17 @@ use crate::variant::{derive_variants, ParamValues, Variant};
 use crate::EcoError;
 use eco_analysis::NestInfo;
 use eco_exec::events::{Attrs, Json, Scope, SpanId};
-use eco_exec::{Counters, EvalJob, Evaluator, Params};
+use eco_exec::{
+    program_fingerprint, CandidateHasher, CandidateKey, CandidateMemo, Counters, EvalJob,
+    Evaluator, Params, Rejection, Verdict,
+};
 use eco_ir::{ArrayId, Program};
 use eco_kernels::Kernel;
 use eco_machine::MachineDesc;
 use eco_transform::insert_prefetch;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::Hash;
+use std::sync::Arc;
 
 /// Candidates per wave for the non-guided (grid/random) strategies: a
 /// fixed batch size, *not* the thread count, so search decisions are
@@ -459,18 +464,28 @@ struct Point<'v> {
     prefetches: Vec<(ArrayId, i64)>,
 }
 
-/// Bridges the search to an [`Evaluator`]: generates the program for
-/// each point (caching generation, which is pure), batches the
-/// measurements, and counts unique generated points for [`SearchStats`].
+/// Bridges the search to an [`Evaluator`]: generates and certifies the
+/// program for each point through a [`CandidateMemo`] (both steps are
+/// pure), batches the measurements, and counts unique generated points
+/// for [`SearchStats`].
 struct PointEval<'a> {
     kernel: &'a Kernel,
     nest: &'a NestInfo,
     engine: &'a dyn Evaluator,
     sizes: Vec<i64>,
-    /// Point key -> generated program (`None` = generation infeasible).
-    /// Measurement results are *not* cached here — that is the engine's
-    /// memo cache's job, so repeated points surface as cache hits.
-    programs: HashMap<String, Option<Program>>,
+    /// The evaluator's shared candidate memo, or one local to this
+    /// search. Measurement results are *not* cached here — that is the
+    /// engine's memo cache's job, so repeated points surface as cache
+    /// hits.
+    memo: &'a CandidateMemo,
+    /// The kernel part of every candidate key, and that prefix extended
+    /// with each variant seen so far (hashed once per search).
+    kernel_key: CandidateHasher,
+    variant_keys: HashMap<String, CandidateHasher>,
+    /// Candidates this search has already seen: statistics and
+    /// `certify` events count each once per search, exactly as a cold
+    /// memo would, however warm the shared memo is.
+    seen: HashSet<CandidateKey>,
     points: usize,
     /// Points generated per stage label (for [`SearchStats::per_stage`]).
     per_stage: BTreeMap<String, usize>,
@@ -514,85 +529,148 @@ impl PointEval<'_> {
         self.stage = stage;
         self.span = span;
     }
+
+    /// The memo key of a point: the kernel and variant prefix extended
+    /// with the parameter values and prefetch plan.
+    fn key(
+        &mut self,
+        variant: &Variant,
+        params: &ParamValues,
+        prefetches: &[(ArrayId, i64)],
+    ) -> CandidateKey {
+        let mut h = match self.variant_keys.get(&variant.name) {
+            Some(h) => h.clone(),
+            None => {
+                let mut h = self.kernel_key.clone();
+                variant.hash(&mut h);
+                self.variant_keys.insert(variant.name.clone(), h.clone());
+                h
+            }
+        };
+        params.hash(&mut h);
+        prefetches.hash(&mut h);
+        h.key()
+    }
+
+    /// The program of a point this search has already seen (`None` if
+    /// it was infeasible or never seen).
+    fn generated(
+        &mut self,
+        variant: &Variant,
+        params: &ParamValues,
+        prefetches: &[(ArrayId, i64)],
+    ) -> Option<Arc<Program>> {
+        let key = self.key(variant, params, prefetches);
+        self.memo.get(key).flatten()
+    }
+
+    /// Arrays referenced in the innermost loop of a point's generated
+    /// program — the prefetch candidates, tried one at a time — with
+    /// their names (ids index the *generated* program, which may add
+    /// copy buffers the kernel program does not have).
+    fn prefetch_candidates(
+        &mut self,
+        variant: &Variant,
+        params: &ParamValues,
+    ) -> Vec<(ArrayId, String)> {
+        let Some(program) = self.generated(variant, params, &[]) else {
+            return Vec::new();
+        };
+        let Some(inner) = program.find_loop(variant.register_carrier()) else {
+            return Vec::new();
+        };
+        let mut arrays = Vec::new();
+        for s in &inner.body {
+            s.for_each_ref(&mut |r, _| {
+                if !arrays.iter().any(|&(a, _)| a == r.array) {
+                    arrays.push((r.array, program.array(r.array).name.clone()));
+                }
+            });
+        }
+        arrays
+    }
+
     /// The generated program for a point, `None` if generation or
-    /// prefetch insertion is infeasible.
+    /// prefetch insertion is infeasible or certification rejects it.
     fn program_for(
         &mut self,
         variant: &Variant,
         params: &ParamValues,
         prefetches: &[(ArrayId, i64)],
-    ) -> Option<Program> {
-        let key = format!("{}|{params:?}|{prefetches:?}", variant.name);
-        if let Some(hit) = self.programs.get(&key) {
-            return hit.clone();
-        }
-        let mut program = (|| -> Option<Program> {
-            let mut program = generate(
-                self.kernel,
-                self.nest,
-                variant,
-                params,
-                self.engine.machine(),
-            )
-            .ok()?;
-            let carrier = variant.register_carrier();
-            for &(array, dist) in prefetches {
-                program = insert_prefetch(&program, carrier, array, dist).ok()?;
-            }
-            Some(program)
-        })();
+    ) -> Option<Arc<Program>> {
+        let key = self.key(variant, params, prefetches);
+        let first = self.seen.insert(key);
+        let memo = self.memo;
+        let program = if first {
+            memo.program(key, || {
+                let machine = self.engine.machine();
+                let mut program =
+                    generate(self.kernel, self.nest, variant, params, machine).ok()?;
+                let carrier = variant.register_carrier();
+                for &(array, dist) in prefetches {
+                    program = insert_prefetch(&program, carrier, array, dist).ok()?;
+                }
+                Some(program)
+            })
+        } else {
+            memo.get(key).expect("a seen candidate stays memoized")
+        }?;
         // Translation validation: prove the candidate safe at every
         // tuning size before it is allowed anywhere near the engine.
-        // Each unique point is certified once (this cache) and the
-        // verdict becomes a typed event.
+        // Each candidate is certified once per size list (the memo) and
+        // its verdict becomes a typed event once per search.
         if self.certify {
-            if let Some(p) = &program {
-                let size_name = self.kernel.program.var(self.kernel.size).name.clone();
-                let verdict = self.sizes.iter().find_map(|&n| {
-                    let cert =
-                        eco_verify::certify(&self.kernel.program, p, &[(size_name.clone(), n)]);
-                    cert.first_error().map(|code| {
-                        let msg = cert
-                            .diagnostics
-                            .iter()
-                            .find(|d| d.code == code)
-                            .map(|d| d.message.clone())
-                            .unwrap_or_default();
-                        (code, msg, n)
-                    })
-                });
-                match verdict {
-                    Some((code, msg, n)) => {
+            let verdict = memo.verdict(key.extended(&self.sizes), || self.verdict_for(&program));
+            if first {
+                let attrs = Attrs::new().str("variant", &variant.name);
+                let attrs = match &verdict {
+                    Some(r) => {
                         self.rejected += 1;
-                        self.scope.event(
-                            "certify",
-                            self.span,
-                            Attrs::new()
-                                .str("variant", &variant.name)
-                                .bool("ok", false)
-                                .str("code", code.as_str())
-                                .str("msg", &msg)
-                                .int("n", n),
-                        );
-                        program = None;
+                        attrs
+                            .bool("ok", false)
+                            .str("code", r.code)
+                            .str("msg", &r.msg)
+                            .int("n", r.n)
                     }
                     None => {
                         self.certified += 1;
-                        self.scope.event(
-                            "certify",
-                            self.span,
-                            Attrs::new().str("variant", &variant.name).bool("ok", true),
-                        );
+                        attrs.bool("ok", true)
                     }
-                }
+                };
+                self.scope.event("certify", self.span, attrs);
+            }
+            if verdict.is_some() {
+                return None;
             }
         }
-        if program.is_some() {
+        if first {
             self.points += 1;
             *self.per_stage.entry(self.stage.to_string()).or_insert(0) += 1;
         }
-        self.programs.insert(key, program.clone());
-        program
+        Some(program)
+    }
+
+    /// Certifies a generated candidate at each tuning size, stopping at
+    /// the first size with an error.
+    fn verdict_for(&self, program: &Program) -> Verdict {
+        let size_name = &self.kernel.program.var(self.kernel.size).name;
+        self.sizes.iter().find_map(|&n| {
+            let cert =
+                eco_verify::certify(&self.kernel.program, program, &[(size_name.clone(), n)]);
+            cert.first_error().map(|code| {
+                let msg = cert
+                    .diagnostics
+                    .iter()
+                    .find(|d| d.code == code)
+                    .map(|d| d.message.clone())
+                    .unwrap_or_default();
+                Arc::new(Rejection {
+                    code: code.as_str(),
+                    msg,
+                    n,
+                })
+            })
+        })
     }
 
     /// Measures a batch of points; per point, the total cycles over all
@@ -607,9 +685,12 @@ impl PointEval<'_> {
                     let start = jobs.len();
                     for &n in &self.sizes {
                         jobs.push(
-                            EvalJob::new(program.clone(), Params::new().with(self.kernel.size, n))
-                                .with_label(format!("{}/{}", pt.variant.name, self.stage))
-                                .in_span(self.span),
+                            EvalJob::new(
+                                Program::clone(&program),
+                                Params::new().with(self.kernel.size, n),
+                            )
+                            .with_label(format!("{}/{}", pt.variant.name, self.stage))
+                            .in_span(self.span),
                         );
                     }
                     spans.push(Some(start..jobs.len()));
@@ -746,12 +827,27 @@ impl Optimizer {
         }
         let mut sizes = vec![self.opts.search_n];
         sizes.extend(self.opts.robustness_sizes.iter().copied());
+        let local;
+        let memo = match engine.candidates() {
+            Some(shared) => shared,
+            None => {
+                local = CandidateMemo::new();
+                &local
+            }
+        };
+        let mut kernel_key = CandidateHasher::new();
+        kernel.name.hash(&mut kernel_key);
+        program_fingerprint(&kernel.program).hash(&mut kernel_key);
+        kernel.size.hash(&mut kernel_key);
         let mut ev = PointEval {
             kernel,
             nest: &nest,
             engine,
             sizes,
-            programs: HashMap::new(),
+            memo,
+            kernel_key,
+            variant_keys: HashMap::new(),
+            seen: HashSet::new(),
             points: 0,
             per_stage: BTreeMap::new(),
             stage: "screen",
@@ -891,7 +987,7 @@ impl Optimizer {
             // prefetch search, one data structure at a time
             let pf_span = ev.enter("prefetch", Attrs::new());
             let mut plan: Vec<(ArrayId, i64)> = Vec::new();
-            for (array, array_name) in self.prefetch_candidates(&ev, &variant, &params) {
+            for (array, array_name) in ev.prefetch_candidates(&variant, &params) {
                 let decision = |ev: &mut PointEval<'_>, kept: bool, d: i64, cycles: u64| {
                     ev.scope.event(
                         "prefetch_decision",
@@ -972,12 +1068,14 @@ impl Optimizer {
         }
 
         let (variant, params, plan, _, lineage) = best.ok_or(EcoError::NoVariants)?;
-        let mut program = generate(kernel, &nest, &variant, &params, &self.machine)?;
-        let mut prefetches = Vec::new();
-        for &(array, d) in &plan {
-            program = insert_prefetch(&program, variant.register_carrier(), array, d)?;
-            prefetches.push((program.array(array).name.clone(), d));
-        }
+        let program = Program::clone(
+            &ev.generated(&variant, &params, &plan)
+                .expect("the winning point was generated and measured"),
+        );
+        let prefetches = plan
+            .iter()
+            .map(|&(array, d)| (program.array(array).name.clone(), d))
+            .collect();
         let exec_params = Params::new().with(kernel.size, self.opts.search_n);
         let counters = engine.eval(
             EvalJob::new(program.clone(), exec_params)
@@ -1191,33 +1289,6 @@ impl Optimizer {
         }
         ev.leave(refine_span, Attrs::new().uint("cycles", best));
         ev.leave(group, Attrs::new().uint("cycles", best));
-    }
-
-    /// Arrays referenced in the generated innermost loop — the prefetch
-    /// candidates, tried one at a time — with their names (ids index the
-    /// *generated* program, which may add copy buffers the kernel
-    /// program does not have).
-    fn prefetch_candidates(
-        &self,
-        ev: &PointEval<'_>,
-        variant: &Variant,
-        params: &ParamValues,
-    ) -> Vec<(ArrayId, String)> {
-        let Ok(program) = generate(ev.kernel, ev.nest, variant, params, &self.machine) else {
-            return Vec::new();
-        };
-        let Some(inner) = program.find_loop(variant.register_carrier()) else {
-            return Vec::new();
-        };
-        let mut arrays = Vec::new();
-        for s in &inner.body {
-            s.for_each_ref(&mut |r, _| {
-                if !arrays.iter().any(|&(a, _)| a == r.array) {
-                    arrays.push((r.array, program.array(r.array).name.clone()));
-                }
-            });
-        }
-        arrays
     }
 }
 

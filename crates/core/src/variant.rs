@@ -36,7 +36,7 @@ pub type ParamValues = BTreeMap<String, u64>;
 
 /// A symbolic constraint `prod(params) <= bound`, as displayed in the
 /// paper's Table 4.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Constraint {
     /// Parameter names whose product is bounded.
     pub factors: Vec<String>,
@@ -64,7 +64,7 @@ impl fmt::Display for Constraint {
 }
 
 /// The plan for one memory-hierarchy level of a variant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct LevelPlan {
     /// Which level this plan targets.
     pub level: MemoryLevel,
@@ -84,7 +84,7 @@ pub struct LevelPlan {
 }
 
 /// A planned copy optimization.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CopyPlan {
     /// Array to copy.
     pub array: ArrayId,
@@ -95,7 +95,7 @@ pub struct CopyPlan {
 }
 
 /// One parameterized variant produced by [`derive_variants`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Variant {
     /// Name (`"v1"`, `"v2"`, ...).
     pub name: String,

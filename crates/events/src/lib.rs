@@ -119,6 +119,7 @@ use std::time::Instant;
 /// bytes and as a [`std::hash::Hasher`] so `#[derive(Hash)]` types can
 /// feed it. Stable across runs and platforms within a build; values are
 /// persisted only as opaque fingerprints.
+#[derive(Debug, Clone)]
 pub struct Fnv64(u64);
 
 impl Fnv64 {

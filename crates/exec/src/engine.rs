@@ -35,7 +35,12 @@
 //!   re-evaluating a variant at new parameter points skips lowering
 //!   entirely; [`ExecBackend::Reference`] re-routes every job through
 //!   the tree-walking oracle for differential runs (`--engine=reference`
-//!   in the CLIs);
+//!   in the CLIs); plans keep only the program's declarations, so the
+//!   plan cache never holds a second copy of a program body;
+//! * **candidate memoization** — the engine's
+//!   [`CandidateMemo`] ([`Evaluator::candidates`]) holds every search
+//!   candidate generated and certified on its machine, so a warm engine
+//!   (the `eco serve` daemon) re-tunes without regenerating anything;
 //! * **telemetry** — an optional JSONL search trace records one line per
 //!   submitted job (label, program, params, counters, cache-hit flag,
 //!   wall time); an optional structured **event stream**
@@ -99,6 +104,7 @@ use std::io::{BufWriter, Write as _};
 use std::path::PathBuf;
 use std::time::Instant;
 
+use crate::candidates::CandidateMemo;
 use crate::error::ExecError;
 use crate::layout::{LayoutOptions, Params};
 use crate::plan::ExecutablePlan;
@@ -464,6 +470,13 @@ pub trait Evaluator {
     fn events(&self) -> Option<&Arc<EventStream>> {
         None
     }
+
+    /// The memo of generated and certified search candidates this
+    /// evaluator shares across searches, if any. Without one, each
+    /// search keeps a memo of its own.
+    fn candidates(&self) -> Option<&CandidateMemo> {
+        None
+    }
 }
 
 /// Process-wide metric handles, resolved once per engine so the hot
@@ -561,6 +574,9 @@ pub struct Engine {
     inflight: Mutex<HashMap<EvalKey, Arc<InflightCell>>>,
     /// Live service metrics (process-wide registry handles).
     metrics: EngineMetrics,
+    /// Search candidates generated and certified on this engine's
+    /// machine, shared by every search run against it.
+    candidates: CandidateMemo,
 }
 
 /// The rendezvous for one in-flight evaluation: the owning batch fills
@@ -700,6 +716,7 @@ impl Engine {
             store,
             inflight: labeled_mutex("engine.inflight", HashMap::new()),
             metrics: EngineMetrics::resolve(),
+            candidates: CandidateMemo::new(),
             machine,
         })
     }
@@ -780,13 +797,21 @@ impl Engine {
 /// The content fingerprint of a program: FNV-1a over its name and full
 /// pretty-printed text. This is the program component of [`EvalKey`],
 /// the plan-memoization key, and the `program_fingerprint` field of run
-/// manifests.
+/// manifests. The printer streams straight into the hash; the text is
+/// never built.
 pub fn program_fingerprint(program: &Program) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(program.name.as_bytes());
-    h.write(&[0]);
-    h.write(program.to_string().as_bytes());
-    h.finish()
+    struct Sink(Fnv64);
+    impl std::fmt::Write for Sink {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            self.0.write(s.as_bytes());
+            Ok(())
+        }
+    }
+    let mut h = Sink(Fnv64::new());
+    h.0.write(program.name.as_bytes());
+    h.0.write(&[0]);
+    eco_ir::pretty::write_program(&mut h, program).expect("hashing cannot fail");
+    h.0.finish()
 }
 
 /// How an output slot of a batch gets its result.
@@ -1118,6 +1143,10 @@ impl Evaluator for Engine {
 
     fn events(&self) -> Option<&Arc<EventStream>> {
         self.events.as_ref()
+    }
+
+    fn candidates(&self) -> Option<&CandidateMemo> {
+        Some(&self.candidates)
     }
 }
 

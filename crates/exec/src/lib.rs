@@ -55,6 +55,7 @@
 //! # }
 //! ```
 
+mod candidates;
 mod engine;
 mod error;
 mod interp;
@@ -62,6 +63,7 @@ mod layout;
 mod plan;
 mod trace;
 
+pub use candidates::{CandidateHasher, CandidateKey, CandidateMemo, Rejection, Verdict};
 pub use engine::{
     program_fingerprint, Engine, EngineConfig, EngineStats, EvalJob, EvalKey, Evaluator,
     ExecBackend,

@@ -162,7 +162,11 @@ pub struct LoweringStats {
 /// Both match the tree-walking reference implementations bit for bit.
 #[derive(Debug, Clone)]
 pub struct ExecutablePlan {
-    program: Program,
+    /// The source program's declarations (name, variables, arrays,
+    /// temporaries) with an empty body: everything execution reads once
+    /// lowering is done. The statements live on only as bytecode, so a
+    /// cached plan never holds a second copy of its program.
+    decls: Program,
     insts: Vec<Inst>,
     sites: Vec<Site>,
     vops: Vec<VOp>,
@@ -183,7 +187,13 @@ impl ExecutablePlan {
         let mut c = Compiler::default();
         c.stmts(&program.body);
         Ok(ExecutablePlan {
-            program: program.clone(),
+            decls: Program {
+                name: program.name.clone(),
+                vars: program.vars.clone(),
+                arrays: program.arrays.clone(),
+                temps: program.temps.clone(),
+                body: Vec::new(),
+            },
             insts: c.insts,
             sites: c.sites,
             vops: c.vops,
@@ -191,11 +201,6 @@ impl ExecutablePlan {
             loop_slots: c.loop_slots,
             max_stack: c.max_stack,
         })
-    }
-
-    /// The program this plan was compiled from.
-    pub fn program(&self) -> &Program {
-        &self.program
     }
 
     /// Number of memory-access sites in the bytecode.
@@ -291,8 +296,8 @@ impl ExecutablePlan {
         layout_opts: &LayoutOptions,
         attribute: bool,
     ) -> Result<(Counters, SimStats), ExecError> {
-        let layout = ArrayLayout::new(&self.program, params, layout_opts)?;
-        let env = params.env_for(&self.program)?;
+        let layout = ArrayLayout::new(&self.decls, params, layout_opts)?;
+        let env = params.env_for(&self.decls)?;
         let mut ctx = MeasureCtx {
             plan: self,
             sites: SiteTable::new(self, &layout, 8),
@@ -327,14 +332,14 @@ impl ExecutablePlan {
         layout: &ArrayLayout,
         storage: &mut Storage,
     ) -> Result<(), ExecError> {
-        let env = params.env_for(&self.program)?;
+        let env = params.env_for(&self.decls)?;
         let mut ctx = NumericCtx {
             plan: self,
             sites: SiteTable::new(self, layout, 1),
             layout,
             env,
             hi_slots: vec![0; self.loop_slots],
-            temps: vec![0.0; self.program.temps.len()],
+            temps: vec![0.0; self.decls.temps.len()],
             stack: Vec::with_capacity(self.max_stack),
             storage,
             streams: Vec::new(),
@@ -348,7 +353,7 @@ impl ExecutablePlan {
     /// identical to the reference walkers' payload.
     fn oob(&self, site: &Site, env: &[i64], layout: &ArrayLayout) -> ExecError {
         ExecError::OutOfBounds {
-            array: self.program.array(site.array).name.clone(),
+            array: self.decls.array(site.array).name.clone(),
             indices: site.idx.iter().map(|e| e.eval_slice(env)).collect(),
             extents: layout.extents(site.array).to_vec(),
         }

@@ -2,10 +2,13 @@
 //! the controlled scheduler (`--cfg eco_sched`): concurrent batches
 //! racing the same evaluation key must agree byte-for-byte, account for
 //! every job exactly once (`evaluated + cache_hits + dedup_waits ==
-//! requested`), and never evaluate a key twice.
+//! requested`), and never evaluate a key twice. A second model races
+//! first sights through the real candidate memo.
 #![cfg(eco_sched)]
 
-use eco_exec::{Engine, EngineConfig, EvalJob, Evaluator, ExecBackend, Params};
+use eco_exec::{
+    CandidateHasher, CandidateMemo, Engine, EngineConfig, EvalJob, Evaluator, ExecBackend, Params,
+};
 use eco_ir::{AffineExpr, ArrayRef, Loop, Program, ScalarExpr, Stmt, VarId};
 use eco_machine::MachineDesc;
 use eco_sched::model::{self, check};
@@ -129,4 +132,75 @@ fn memo_dedupe_accounting_holds_in_every_schedule() {
             );
         }
     }
+}
+
+/// Two first sights race one candidate key through the real
+/// [`CandidateMemo`] with *different* programs (stricter than pure
+/// generation) while a reader polls it: both racers must get the first
+/// insert, the reader must see nothing or that insert, and the memo
+/// lock must never nest.
+#[test]
+fn candidate_memo_first_insert_wins_in_every_schedule() {
+    use std::hash::Hasher;
+    let report = explore(
+        Config {
+            max_schedules: 1_000,
+            ..Config::default()
+        },
+        || {
+            let memo = Arc::new(CandidateMemo::new());
+            let mut h = CandidateHasher::new();
+            h.write(b"candidate");
+            let key = h.key();
+            let racers: Vec<_> = ["first-sight-a", "first-sight-b"]
+                .into_iter()
+                .map(|name| {
+                    let memo = Arc::clone(&memo);
+                    model::thread::spawn(name, move || {
+                        memo.program(key, || Some(Program::new(name)))
+                            .map(|p| p.name.clone())
+                    })
+                })
+                .collect();
+            let reader = {
+                let memo = Arc::clone(&memo);
+                model::thread::spawn("reader", move || {
+                    [memo.get(key), memo.get(key)]
+                        .map(|seen| seen.map(|p| p.map(|p| p.name.clone())))
+                })
+            };
+            let won: Vec<_> = racers.into_iter().map(|t| t.join()).collect();
+            let seen = reader.join();
+            let held = memo.get(key).map(|p| p.map(|p| p.name.clone()));
+            check(
+                DiagCode::RingOverflow,
+                won[0].is_some() && won.iter().all(|w| Some(w) == held.as_ref()),
+                || format!("racers got {won:?}, memo holds {held:?}"),
+            );
+            check(
+                DiagCode::RingOverflow,
+                seen.iter().all(|s| s.is_none() || *s == held)
+                    && !(seen[0].is_some() && seen[1].is_none()),
+                || format!("reader saw {seen:?}, memo holds {held:?}"),
+            );
+        },
+    );
+    assert!(
+        report.is_clean(),
+        "candidate memo reported: {:?}",
+        report.diags
+    );
+    assert!(
+        report.schedules >= 10,
+        "only {} schedules",
+        report.schedules
+    );
+    assert!(
+        report
+            .edges
+            .iter()
+            .all(|(from, _)| from != "engine.candidates"),
+        "the candidate memo lock never nests: {:?}",
+        report.edges
+    );
 }

@@ -1,10 +1,10 @@
-//! Built-in checker models of the three hottest shared-state protocols in
+//! Built-in checker models of the four hottest shared-state protocols in
 //! the service layer. Each model is a faithful, self-contained port of the
 //! real protocol's lock/condvar structure (the in-crate `eco_sched` tests
 //! additionally drive the *real* code under `--cfg eco_sched`); running them
 //! feeds the lock-order analysis and proves the clean protocols clean.
 //!
-//! `eco lint --sched` runs all three and renders the combined report.
+//! `eco lint --sched` runs all four and renders the combined report.
 
 use crate::diag::DiagCode;
 use crate::model::{self, atomic::AtomicU64, atomic::Ordering, check, yield_point, Condvar, Mutex};
@@ -40,6 +40,11 @@ pub fn run_builtin(cfg: &Config) -> Vec<ModelReport> {
             name: "engine-memo-ring",
             covers: "engine memo dedup_waits + bounded completed ring",
             report: explore(cfg.clone(), engine_memo_ring),
+        },
+        ModelReport {
+            name: "engine-candidate-memo",
+            covers: "candidate memo first sights: first insert wins, readers see none or it",
+            report: explore(cfg.clone(), engine_candidate_memo),
         },
     ]
 }
@@ -380,6 +385,89 @@ fn engine_memo_ring() {
             stats.computed, stats.memo_hits, stats.dedup_waits
         )
     });
+}
+
+// ---------------------------------------------------------------------------
+// Model (d): the engine's candidate memo under concurrent first sights.
+//
+// Mirrors `eco_exec::CandidateMemo`: a lookup takes the lock, clones the
+// entry, and releases it; on a miss the caller generates *outside* the
+// lock and re-takes it to insert, where the first insert wins and every
+// later inserter adopts the winner. Two generators race one key with
+// different values (stricter than the real, pure generation), while a
+// reader polls it. Once inserted, the key's value must never change,
+// and every observer sees either nothing or that value.
+// ---------------------------------------------------------------------------
+
+struct CandidateMemoModel {
+    programs: Mutex<BTreeMap<u64, u64>>,
+    /// Every value ever stored under the key, in insertion order.
+    published: Mutex<Vec<u64>>,
+}
+
+impl CandidateMemoModel {
+    /// Port of `CandidateMemo::program`'s get-or-insert.
+    fn program(&self, key: u64, generated: u64) -> u64 {
+        if let Some(&v) = self.programs.lock().unwrap().get(&key) {
+            return v;
+        }
+        yield_point("candidates.generate");
+        let mut programs = self.programs.lock().unwrap();
+        let v = *programs.entry(key).or_insert_with(|| {
+            self.published.lock().unwrap().push(generated);
+            generated
+        });
+        v
+    }
+
+    /// Port of `CandidateMemo::get`.
+    fn get(&self, key: u64) -> Option<u64> {
+        self.programs.lock().unwrap().get(&key).copied()
+    }
+}
+
+fn engine_candidate_memo() {
+    const KEY: u64 = 7;
+    let memo = Arc::new(CandidateMemoModel {
+        programs: Mutex::labeled("engine.candidates", BTreeMap::new()),
+        published: Mutex::labeled("engine.candidates.published", Vec::new()),
+    });
+    let generators: Vec<_> = [("first-sight-a", 70u64), ("first-sight-b", 71)]
+        .iter()
+        .map(|&(name, value)| {
+            let m = memo.clone();
+            model::thread::spawn(name, move || m.program(KEY, value))
+        })
+        .collect();
+    let m = memo.clone();
+    let reader = model::thread::spawn("reader", move || [m.get(KEY), m.get(KEY)]);
+    let won: Vec<u64> = generators.into_iter().map(|h| h.join()).collect();
+    let seen = reader.join();
+
+    let published = memo.published.lock().unwrap().clone();
+    check(DiagCode::RingOverflow, published.len() == 1, || {
+        format!(
+            "candidate key stored {} values: {published:?}",
+            published.len()
+        )
+    });
+    let value = published[0];
+    check(
+        DiagCode::RingOverflow,
+        won.iter().all(|&v| v == value) && memo.get(KEY) == Some(value),
+        || {
+            format!(
+                "first sights returned {won:?}, memo holds {:?}, first insert {value}",
+                memo.get(KEY)
+            )
+        },
+    );
+    check(
+        DiagCode::RingOverflow,
+        seen.iter().all(|s| s.is_none_or(|v| v == value))
+            && !(seen[0].is_some() && seen[1].is_none()),
+        || format!("reader saw {seen:?}; only none-then-{value} is allowed"),
+    );
 }
 
 #[cfg(test)]

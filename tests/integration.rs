@@ -6,8 +6,11 @@
 use eco_analysis::NestInfo;
 use eco_baselines::{atlas_mm, native, vendor_mm};
 use eco_core::{derive_variants, generate, Optimizer, SearchOptions, TuneRequest};
-use eco_exec::{interpret, measure, ArrayLayout, LayoutOptions, Params, Storage};
-use eco_ir::Program;
+use eco_exec::events::Fnv64;
+use eco_exec::{
+    interpret, measure, program_fingerprint, ArrayLayout, LayoutOptions, Params, Storage,
+};
+use eco_ir::{ArrayId, Program};
 use eco_kernels::Kernel;
 use eco_machine::MachineDesc;
 
@@ -70,6 +73,44 @@ fn every_variant_of_every_kernel_generates_correct_code() {
             );
         }
     }
+}
+
+#[test]
+fn streamed_program_fingerprints_equal_fnv_over_the_printed_text() {
+    // `program_fingerprint` streams the printer into the hash; goldens
+    // pin its values, so it must equal FNV over `name\0` + the text.
+    let machine = MachineDesc::sgi_r10000().scaled(32);
+    let opt = Optimizer::new(machine.clone());
+    let mut checked = 0;
+    for kernel in Kernel::all() {
+        let nest = NestInfo::from_program(&kernel.program).expect("analyzable");
+        let mut programs = vec![kernel.program.clone()];
+        for v in derive_variants(&nest, &machine, &kernel.program) {
+            let init = opt.initial_params(&v);
+            for scale in [(1, 1), (1, 2), (2, 1)] {
+                let params = init
+                    .iter()
+                    .map(|(n, &x)| (n.clone(), (x * scale.0 / scale.1).max(1)))
+                    .collect();
+                let Ok(p) = generate(&kernel, &nest, &v, &params, &machine) else {
+                    continue;
+                };
+                if let Ok(pf) =
+                    eco_transform::insert_prefetch(&p, v.register_carrier(), ArrayId(0), 2)
+                {
+                    programs.push(pf);
+                }
+                programs.push(p);
+            }
+        }
+        for p in &programs {
+            let mut bytes = format!("{}\0", p.name).into_bytes();
+            bytes.extend(p.to_string().bytes());
+            assert_eq!(program_fingerprint(p), Fnv64::hash_bytes(&bytes), "{p}");
+            checked += 1;
+        }
+    }
+    assert!(checked > 100, "only {checked} programs checked");
 }
 
 #[test]

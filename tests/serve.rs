@@ -419,3 +419,112 @@ fn served_tune_matches_a_local_manifest_and_reports_errors() {
     handle.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn request_line_cap_covers_every_client_request() {
+    use eco_bench::figures::FIGURES;
+    use eco_core::SweepPlan;
+    // The lines this repository's clients send: `tune` requests (with
+    // certification and a robustness size, as `perfbench` sends them)
+    // for every kernel on full-size and scaled machines, and every
+    // figure's sweep shards with all sizes in one shard.
+    let mut lines: Vec<String> = Vec::new();
+    for machine in [MachineDesc::sgi_r10000(), MachineDesc::ultrasparc_iie()] {
+        for machine in [machine.clone(), machine.scaled(eco_bench::FIGURE_SCALE)] {
+            for kernel in Kernel::all() {
+                let opts = SearchOptions::builder()
+                    .search_n(24)
+                    .robustness_sizes(vec![31])
+                    .certify(true)
+                    .build()
+                    .expect("options");
+                let request = TuneRequest::new(kernel, machine.clone()).options(opts);
+                lines.push(
+                    Json::obj()
+                        .field("op", Json::str("tune"))
+                        .field("request", request.to_json())
+                        .render_compact(),
+                );
+            }
+        }
+    }
+    for def in FIGURES {
+        for scale in [1, eco_bench::FIGURE_SCALE] {
+            let plan = SweepPlan::plan(&def.spec_with_scale(scale), usize::MAX).expect("plan");
+            for shard in &plan.shards {
+                lines.push(
+                    Json::obj()
+                        .field("op", Json::str("shard"))
+                        .field("shard", shard.to_json())
+                        .render_compact(),
+                );
+            }
+        }
+    }
+    // 878 bytes when the cap was set; the cap keeps 32x headroom.
+    let largest = lines.iter().map(String::len).max().expect("lines");
+    assert!(
+        largest * 32 < serve::MAX_REQUEST_LINE,
+        "largest client request is {largest} bytes; re-derive MAX_REQUEST_LINE"
+    );
+}
+
+#[test]
+fn endless_request_line_gets_a_typed_error_and_the_daemon_lives_on() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::os::unix::net::UnixStream;
+    let dir = scratch("endless");
+    let (socket, handle) = start_server(&dir, EngineConfig::new());
+
+    // A peer that streams one line forever, with no newline.
+    let stream = UnixStream::connect(&socket).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 8192];
+        let mut sent = 0usize;
+        while writer.write_all(&chunk).is_ok() {
+            sent += chunk.len();
+            if sent > 64 * serve::MAX_REQUEST_LINE {
+                break;
+            }
+        }
+        sent
+    });
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("typed error line");
+    let doc = Json::parse(line.trim_end()).expect("json reply");
+    assert_eq!(doc.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        doc.get("code").and_then(Json::as_str),
+        Some("request_too_large")
+    );
+    // The daemon closed the connection: the flood stops well short of
+    // its own limit, and nothing follows the error line (end of stream,
+    // or a reset because the daemon left the flood unread).
+    let sent = flood.join().expect("flood thread");
+    assert!(
+        sent < 64 * serve::MAX_REQUEST_LINE,
+        "flood ran to {sent} bytes"
+    );
+    line.clear();
+    assert!(
+        matches!(reader.read_line(&mut line), Ok(0) | Err(_)),
+        "{line}"
+    );
+
+    // The daemon serves the next connection and counted the oversized line.
+    let metrics =
+        serve::request(&socket, &Json::obj().field("op", Json::str("metrics"))).expect("metrics");
+    let text = metrics
+        .get("metrics")
+        .and_then(Json::as_str)
+        .expect("exposition");
+    assert!(
+        text.contains("eco_serve_oversized_requests_total 1"),
+        "{text}"
+    );
+    shutdown(&socket);
+    handle.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,13 +1,20 @@
-//! Cross-process warm-start tests for the persistent result store: a
-//! second run against the same `--store` directory must produce
-//! byte-identical outputs while serving (nearly) every evaluation from
-//! disk instead of re-simulating.
+//! Warm-start tests. Cross-process: a second run against the same
+//! `--store` directory must produce byte-identical outputs while
+//! serving (nearly) every evaluation from disk instead of
+//! re-simulating. In process: a tune on an engine whose candidate memo
+//! is already warm must equal a cold tune, `certify` events included.
 
-use eco_core::{run_manifest, EngineConfig, SearchOptions, TuneRequest, TuneResponse};
+use eco_core::events::{field, EventStream};
+use eco_core::{
+    run_manifest, Engine, EngineConfig, EngineStats, Evaluator, SearchOptions, TuneRequest,
+    TuneResponse, Tuned,
+};
+use eco_exec::{CandidateMemo, Counters, EvalJob, ExecError};
 use eco_kernels::Kernel;
 use eco_machine::MachineDesc;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::{Arc, Mutex};
 
 /// A per-test scratch directory under the system temp dir.
 fn scratch(tag: &str) -> PathBuf {
@@ -132,4 +139,151 @@ fn eco_tune_warm_starts_across_processes() {
     );
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Evaluates through a shared engine but writes each run's search
+/// events to a buffer of its own, the way `eco serve` gives every
+/// request a stream while sharing the per-machine engine.
+struct PerRun<'a> {
+    engine: &'a Engine,
+    events: Arc<EventStream>,
+    buf: Arc<Mutex<Vec<u8>>>,
+}
+
+impl<'a> PerRun<'a> {
+    fn new(engine: &'a Engine) -> Self {
+        let buf = Arc::new(Mutex::new(Vec::new()));
+        PerRun {
+            engine,
+            events: Arc::new(EventStream::to_shared_buffer(Arc::clone(&buf))),
+            buf,
+        }
+    }
+
+    /// The run's `certify` events as `variant ok code msg n` tuples.
+    fn certify_events(&self) -> Vec<String> {
+        self.events.flush();
+        let text = String::from_utf8(self.buf.lock().expect("buf lock").clone()).expect("utf8");
+        text.lines()
+            .filter(|l| field(l, "name") == Some("certify"))
+            .map(|l| {
+                ["variant", "ok", "code", "msg", "n"]
+                    .map(|k| field(l, k).unwrap_or("-"))
+                    .join(" ")
+            })
+            .collect()
+    }
+}
+
+impl Evaluator for PerRun<'_> {
+    fn machine(&self) -> &MachineDesc {
+        self.engine.machine()
+    }
+
+    fn eval_batch(&self, jobs: &[EvalJob]) -> Vec<Result<Counters, ExecError>> {
+        self.engine.eval_batch(jobs)
+    }
+
+    fn stats(&self) -> EngineStats {
+        self.engine.stats()
+    }
+
+    fn events(&self) -> Option<&Arc<EventStream>> {
+        Some(&self.events)
+    }
+
+    fn candidates(&self) -> Option<&CandidateMemo> {
+        self.engine.candidates()
+    }
+}
+
+/// Everything a tune decides, in comparable form.
+type Outcome = (
+    String,
+    Vec<(String, u64)>,
+    Vec<(String, i64)>,
+    String,
+    Counters,
+    eco_core::SearchStats,
+    Vec<String>,
+);
+
+/// Tunes `request` on `engine` and returns its outcome.
+fn tune_on(engine: &Engine, request: &TuneRequest) -> Outcome {
+    let run = PerRun::new(engine);
+    let t: Tuned = request.run_on(&run).expect("tune").tuned;
+    (
+        format!("{:?}", t.variant),
+        t.params.into_iter().collect(),
+        t.prefetches,
+        t.program.to_string(),
+        t.counters,
+        t.stats,
+        run.certify_events(),
+    )
+}
+
+fn certified_request(kernel: Kernel, machine: MachineDesc, robustness: &[i64]) -> TuneRequest {
+    let mut opts = SearchOptions::builder().search_n(16).certify(true);
+    if !robustness.is_empty() {
+        opts = opts.robustness_sizes(robustness.to_vec());
+    }
+    TuneRequest::new(kernel, machine).options(opts.build().expect("options"))
+}
+
+fn memo_len(engine: &Engine) -> usize {
+    engine.candidates().expect("engines own a memo").len()
+}
+
+#[test]
+fn warm_candidate_memo_tunes_equal_cold_tunes() {
+    for machine in [MachineDesc::sgi_r10000(), MachineDesc::ultrasparc_iie()] {
+        let machine = machine.scaled(32);
+        for kernel in Kernel::all() {
+            let request = certified_request(kernel, machine.clone(), &[]);
+            let engine = Engine::new(machine.clone());
+            let cold = tune_on(&engine, &request);
+            let generated = memo_len(&engine);
+            assert!(generated > 0);
+            assert!(!cold.6.is_empty(), "certification emitted events");
+            let warm = tune_on(&engine, &request);
+            assert_eq!(warm, cold, "{} on {}", request.kernel.name, machine.name);
+            assert_eq!(
+                memo_len(&engine),
+                generated,
+                "the warm tune generated nothing"
+            );
+        }
+    }
+}
+
+#[test]
+fn candidate_memo_never_aliases_kernels_or_size_lists() {
+    let machine = MachineDesc::sgi_r10000().scaled(32);
+    // mv and stencil5 both derive a variant named v1.
+    let mv = certified_request(Kernel::matvec(), machine.clone(), &[]);
+    let stencil = certified_request(Kernel::stencil5(), machine.clone(), &[]);
+    let fresh = Engine::new(machine.clone());
+    let stencil_cold = tune_on(&fresh, &stencil);
+    let stencil_alone = memo_len(&fresh);
+    let shared = Engine::new(machine.clone());
+    tune_on(&shared, &mv);
+    let mv_alone = memo_len(&shared);
+    assert_eq!(tune_on(&shared, &stencil), stencil_cold);
+    assert_eq!(
+        memo_len(&shared),
+        mv_alone + stencil_alone,
+        "no shared entries"
+    );
+
+    // Jacobi certifies clean at 16 alone, but adding size 5 rejects
+    // candidates: a warm [16, 5] request must not reuse [16]'s verdicts.
+    let jacobi = Kernel::jacobi3d();
+    let single = certified_request(jacobi.clone(), machine.clone(), &[]);
+    let robust = certified_request(jacobi, machine.clone(), &[5]);
+    let robust_cold = tune_on(&Engine::new(machine.clone()), &robust);
+    assert!(robust_cold.5.points_rejected > 0);
+    let shared = Engine::new(machine);
+    assert_eq!(tune_on(&shared, &single).5.points_rejected, 0);
+    assert_eq!(tune_on(&shared, &robust), robust_cold);
 }
