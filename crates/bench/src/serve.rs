@@ -72,10 +72,8 @@
 
 use eco_core::events::{names, Attrs, EventStream, Json};
 use eco_core::{
-    machine_fingerprint, run_manifest, Engine, EngineConfig, EngineStats, Evaluator, Shard,
-    TuneRequest,
+    machine_fingerprint, run_manifest, Engine, EngineConfig, Evaluator, Shard, TuneRequest,
 };
-use eco_machine::MachineDesc;
 use eco_metrics::{Counter, Gauge, Histogram, Registry};
 use eco_sched::sync::atomic::{AtomicBool, Ordering};
 use eco_sched::sync::{labeled_condvar, labeled_mutex, Arc, Condvar, Mutex};
@@ -528,40 +526,6 @@ struct Completed {
     op: &'static str,
     events: String,
     response: Json,
-}
-
-/// Delegates evaluation to the shared per-machine engine but reports
-/// a per-request event stream, so the search attaches its stage spans
-/// to the stream a `watch` connection is tailing (engine-internal
-/// point events still go to the engine's own stream, if any).
-struct WatchedEngine {
-    engine: Arc<Engine>,
-    events: Arc<EventStream>,
-}
-
-impl Evaluator for WatchedEngine {
-    fn machine(&self) -> &MachineDesc {
-        self.engine.machine()
-    }
-
-    fn eval_batch(
-        &self,
-        jobs: &[eco_exec::EvalJob],
-    ) -> Vec<Result<eco_exec::Counters, eco_exec::ExecError>> {
-        self.engine.eval_batch(jobs)
-    }
-
-    fn stats(&self) -> EngineStats {
-        self.engine.stats()
-    }
-
-    fn events(&self) -> Option<&Arc<EventStream>> {
-        Some(&self.events)
-    }
-
-    fn candidates(&self) -> Option<&eco_exec::CandidateMemo> {
-        self.engine.candidates()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1102,13 +1066,15 @@ fn run_tune(inner: &ServerInner, request: &TuneRequest, fp: u64) -> Result<Json,
     let engine = engine_for(inner, request)?;
     let live = LiveSession::open(inner, fp);
     let stream = live.stream();
-    let watched = WatchedEngine {
-        engine,
-        events: Arc::clone(&stream),
-    };
-    let result = request.run_on(&watched).map_err(|e| e.to_string());
+    // The request's view of the shared engine: the search attaches its
+    // stage spans to the stream a `watch` connection is tailing
+    // (engine-internal point events still go to the engine's own
+    // stream, if any), and the response's engine_stats count only this
+    // request's batches, however many requests share the engine.
+    let view = engine.view(Arc::clone(&stream));
+    let result = request.run_on(&view).map_err(|e| e.to_string());
     stream.flush();
-    drop(watched);
+    drop(view);
     drop(stream);
     let response = result?;
     // The manifest records the configuration the shared engine actually

@@ -32,7 +32,7 @@ use eco_analysis::NestInfo;
 use eco_exec::events::{Attrs, Json, Scope, SpanId};
 use eco_exec::{
     program_fingerprint, CandidateHasher, CandidateKey, CandidateMemo, Counters, EvalJob,
-    Evaluator, Params, Rejection, Verdict,
+    Evaluator, Params, Rejection, SharedProgram, Verdict,
 };
 use eco_ir::{ArrayId, Program};
 use eco_kernels::Kernel;
@@ -559,7 +559,7 @@ impl PointEval<'_> {
         variant: &Variant,
         params: &ParamValues,
         prefetches: &[(ArrayId, i64)],
-    ) -> Option<Arc<Program>> {
+    ) -> Option<SharedProgram> {
         let key = self.key(variant, params, prefetches);
         self.memo.get(key).flatten()
     }
@@ -592,12 +592,13 @@ impl PointEval<'_> {
 
     /// The generated program for a point, `None` if generation or
     /// prefetch insertion is infeasible or certification rejects it.
+    /// The handle is the memo's own: measuring it copies no program.
     fn program_for(
         &mut self,
         variant: &Variant,
         params: &ParamValues,
         prefetches: &[(ArrayId, i64)],
-    ) -> Option<Arc<Program>> {
+    ) -> Option<SharedProgram> {
         let key = self.key(variant, params, prefetches);
         let first = self.seen.insert(key);
         let memo = self.memo;
@@ -676,21 +677,21 @@ impl PointEval<'_> {
     /// Measures a batch of points; per point, the total cycles over all
     /// tuning sizes, or `None` if generation or any measurement failed.
     /// Results are in submission order regardless of engine parallelism.
+    /// Programs go to the evaluator by reference
+    /// ([`Evaluator::eval_shared`]).
     fn eval_batch(&mut self, pts: &[Point<'_>]) -> Vec<Option<u64>> {
-        let mut jobs: Vec<EvalJob> = Vec::new();
+        let mut jobs: Vec<EvalJob<SharedProgram>> = Vec::new();
         let mut spans: Vec<Option<std::ops::Range<usize>>> = Vec::with_capacity(pts.len());
         for pt in pts {
             match self.program_for(pt.variant, &pt.params, &pt.prefetches) {
                 Some(program) => {
                     let start = jobs.len();
+                    let label = format!("{}/{}", pt.variant.name, self.stage);
                     for &n in &self.sizes {
                         jobs.push(
-                            EvalJob::new(
-                                Program::clone(&program),
-                                Params::new().with(self.kernel.size, n),
-                            )
-                            .with_label(format!("{}/{}", pt.variant.name, self.stage))
-                            .in_span(self.span),
+                            EvalJob::new(program.clone(), Params::new().with(self.kernel.size, n))
+                                .with_label(label.clone())
+                                .in_span(self.span),
                         );
                     }
                     spans.push(Some(start..jobs.len()));
@@ -698,7 +699,7 @@ impl PointEval<'_> {
                 None => spans.push(None),
             }
         }
-        let results = self.engine.eval_batch(&jobs);
+        let results = self.engine.eval_shared(&jobs);
         spans
             .into_iter()
             .map(|span| {
@@ -1068,20 +1069,22 @@ impl Optimizer {
         }
 
         let (variant, params, plan, _, lineage) = best.ok_or(EcoError::NoVariants)?;
-        let program = Program::clone(
-            &ev.generated(&variant, &params, &plan)
-                .expect("the winning point was generated and measured"),
-        );
+        let shared = ev
+            .generated(&variant, &params, &plan)
+            .expect("the winning point was generated and measured");
         let prefetches = plan
             .iter()
-            .map(|&(array, d)| (program.array(array).name.clone(), d))
+            .map(|&(array, d)| (shared.array(array).name.clone(), d))
             .collect();
         let exec_params = Params::new().with(kernel.size, self.opts.search_n);
-        let counters = engine.eval(
-            EvalJob::new(program.clone(), exec_params)
-                .with_label(format!("{}/final", variant.name))
-                .in_span(root),
-        )?;
+        let final_job = EvalJob::new(shared.clone(), exec_params)
+            .with_label(format!("{}/final", variant.name))
+            .in_span(root);
+        let counters = engine
+            .eval_shared(std::slice::from_ref(&final_job))
+            .pop()
+            .expect("one result per job")?;
+        let program = Program::clone(&shared);
         Ok(Tuned {
             variant,
             params,

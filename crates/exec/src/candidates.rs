@@ -11,14 +11,19 @@
 //!   (kernel, variant, parameter values, prefetch plan), built with
 //!   [`CandidateHasher`]. The machine is implied: a memo belongs to one
 //!   engine, and an engine simulates one machine.
-//! * **Value.** The generated program behind an [`Arc`], or `None` when
-//!   generation was infeasible; certification verdicts sit in a second
-//!   table keyed by candidate *and* tuning-size list.
+//! * **Value.** The generated program as a [`SharedProgram`] (behind an
+//!   [`Arc`], with its fingerprint computed once at generation), or
+//!   `None` when generation was infeasible; certification verdicts sit
+//!   in a second table keyed by candidate *and* tuning-size list. The
+//!   search submits the held program itself for measurement
+//!   ([`Evaluator::eval_shared`](crate::Evaluator::eval_shared)), so a
+//!   warm re-tune neither copies nor re-fingerprints a candidate.
 //! * **Locking.** A lock is held only to look up or insert an `Arc`.
 //!   Two concurrent first sights may both generate; generation is pure,
 //!   so that costs time but never changes an answer, and the first
 //!   insert wins for both callers.
 
+use crate::engine::SharedProgram;
 use eco_events::Fnv64;
 use eco_ir::Program;
 use eco_metrics::{Counter, Registry};
@@ -103,7 +108,7 @@ pub type Verdict = Option<Arc<Rejection>>;
 /// the same forever.
 #[derive(Debug)]
 pub struct CandidateMemo {
-    programs: Mutex<HashMap<CandidateKey, Option<Arc<Program>>>>,
+    programs: Mutex<HashMap<CandidateKey, Option<SharedProgram>>>,
     verdicts: Mutex<HashMap<CandidateKey, Verdict>>,
     lookups: Arc<Counter>,
     hits: Arc<Counter>,
@@ -159,8 +164,9 @@ impl CandidateMemo {
         &self,
         key: CandidateKey,
         generate: impl FnOnce() -> Option<Program>,
-    ) -> Option<Arc<Program>> {
-        let (program, hit) = get_or_insert(&self.programs, key, || generate().map(Arc::new));
+    ) -> Option<SharedProgram> {
+        let (program, hit) =
+            get_or_insert(&self.programs, key, || generate().map(SharedProgram::new));
         self.lookups.inc();
         if hit {
             self.hits.inc();
@@ -171,7 +177,7 @@ impl CandidateMemo {
     /// A candidate this memo already holds, uncounted: a search
     /// revisiting a point it looked up before. `None` when the key was
     /// never looked up.
-    pub fn get(&self, key: CandidateKey) -> Option<Option<Arc<Program>>> {
+    pub fn get(&self, key: CandidateKey) -> Option<Option<SharedProgram>> {
         self.programs
             .lock()
             .expect("candidate memo lock")
@@ -183,6 +189,13 @@ impl CandidateMemo {
     /// tuning-size list), running `certify` on a miss.
     pub fn verdict(&self, key: CandidateKey, certify: impl FnOnce() -> Verdict) -> Verdict {
         get_or_insert(&self.verdicts, key, certify).0
+    }
+
+    /// Every feasible candidate held, in no particular order: a
+    /// snapshot of handles to the memo's own programs.
+    pub fn programs(&self) -> Vec<SharedProgram> {
+        let programs = self.programs.lock().expect("candidate memo lock");
+        programs.values().flatten().cloned().collect()
     }
 
     /// Number of distinct candidates held.
@@ -212,19 +225,22 @@ mod tests {
         let k = key_of("a");
         let first = memo.program(k, || Some(Program::new("first")));
         let second = memo.program(k, || panic!("a hit never regenerates"));
-        assert_eq!(first.expect("feasible").name, "first");
-        assert!(Arc::ptr_eq(
-            &second.expect("feasible"),
-            &memo.get(k).flatten().expect("held")
-        ));
+        let first = first.expect("feasible");
+        assert_eq!(first.name, "first");
         assert_eq!(
-            memo.program(key_of("b"), || None),
-            None,
-            "infeasible memoized"
+            crate::JobProgram::fingerprint(&first),
+            crate::program_fingerprint(&first),
+            "fingerprinted once, at generation"
         );
-        assert_eq!(memo.get(key_of("b")), Some(None));
-        assert_eq!(memo.get(key_of("c")), None, "never looked up");
+        let held = memo.get(k).flatten().expect("held");
+        assert!(Arc::ptr_eq(second.expect("feasible").arc(), held.arc()));
+        assert!(memo.program(key_of("b"), || None).is_none(), "infeasible");
+        assert!(matches!(memo.get(key_of("b")), Some(None)), "memoized");
+        assert!(memo.get(key_of("c")).is_none(), "never looked up");
         assert_eq!(memo.len(), 2);
+        let programs = memo.programs();
+        assert_eq!(programs.len(), 1, "infeasible entries hold no program");
+        assert!(Arc::ptr_eq(programs[0].arc(), held.arc()));
     }
 
     #[test]

@@ -41,6 +41,13 @@
 //!   [`CandidateMemo`] ([`Evaluator::candidates`]) holds every search
 //!   candidate generated and certified on its machine, so a warm engine
 //!   (the `eco serve` daemon) re-tunes without regenerating anything;
+//!   the search submits the memo's programs by reference
+//!   ([`Evaluator::eval_shared`]), keyed by the fingerprint computed
+//!   when each was generated, so a re-tune copies and re-hashes none;
+//! * **per-caller views** — [`Engine::view`] lends the engine to one
+//!   caller (one `eco serve` request) with its own event stream and
+//!   its own [`EngineStats`], summed from the deltas of the batches it
+//!   submitted, so concurrent callers never count each other's work;
 //! * **telemetry** — an optional JSONL search trace records one line per
 //!   submitted job (label, program, params, counters, cache-hit flag,
 //!   wall time); an optional structured **event stream**
@@ -118,10 +125,15 @@ use eco_store::{ResultStore, StoreKey};
 
 /// One search point: a generated program plus everything that affects
 /// its measurement.
+///
+/// The program is owned by default. A [`SharedJob`] holds it as a
+/// [`SharedProgram`] instead, so callers that keep their programs
+/// behind an `Arc` (the search's candidate memo) submit them without a
+/// deep clone; see [`Evaluator::eval_shared`].
 #[derive(Debug, Clone)]
-pub struct EvalJob {
+pub struct EvalJob<P = Program> {
     /// The program to simulate.
-    pub program: Program,
+    pub program: P,
     /// Parameter bindings (problem size, etc.).
     pub params: Params,
     /// Array placement options.
@@ -141,9 +153,12 @@ pub struct EvalJob {
     pub attributed: bool,
 }
 
-impl EvalJob {
+/// An [`EvalJob`] whose program is shared by reference.
+pub type SharedJob = EvalJob<SharedProgram>;
+
+impl<P> EvalJob<P> {
     /// A job with the default layout and an empty label.
-    pub fn new(program: Program, params: Params) -> Self {
+    pub fn new(program: P, params: Params) -> Self {
         EvalJob {
             program,
             params,
@@ -181,6 +196,98 @@ impl EvalJob {
         self.layout = layout;
         self
     }
+}
+
+impl SharedJob {
+    /// The equivalent job owning a deep copy of the program.
+    pub fn to_owned_job(&self) -> EvalJob {
+        EvalJob {
+            program: Program::clone(&self.program),
+            params: self.params.clone(),
+            layout: self.layout.clone(),
+            label: self.label.clone(),
+            span: self.span,
+            attributed: self.attributed,
+        }
+    }
+}
+
+/// A program behind an [`Arc`] together with its
+/// [`program_fingerprint`], computed once when the handle is built.
+/// Cloning the handle copies a pointer, never the program, and jobs
+/// holding it are keyed without re-printing the program.
+#[derive(Debug, Clone)]
+pub struct SharedProgram {
+    program: Arc<Program>,
+    fingerprint: u64,
+}
+
+impl SharedProgram {
+    /// Shares `program`, fingerprinting it.
+    pub fn new(program: Program) -> Self {
+        SharedProgram {
+            fingerprint: program_fingerprint(&program),
+            program: Arc::new(program),
+        }
+    }
+
+    /// The shared program itself (for identity checks with
+    /// [`Arc::ptr_eq`]).
+    pub fn arc(&self) -> &Arc<Program> {
+        &self.program
+    }
+}
+
+impl std::ops::Deref for SharedProgram {
+    type Target = Program;
+
+    fn deref(&self) -> &Program {
+        &self.program
+    }
+}
+
+/// The program slot of an [`EvalJob`]: how a job's program and its
+/// fingerprint are reached. Both kinds of job are keyed through this,
+/// so an owned and a shared job for the same point share one
+/// [`EvalKey`].
+pub trait JobProgram {
+    /// The program to simulate.
+    fn program(&self) -> &Program;
+    /// Its [`program_fingerprint`].
+    fn fingerprint(&self) -> u64;
+}
+
+impl JobProgram for Program {
+    fn program(&self) -> &Program {
+        self
+    }
+
+    fn fingerprint(&self) -> u64 {
+        program_fingerprint(self)
+    }
+}
+
+impl JobProgram for SharedProgram {
+    fn program(&self) -> &Program {
+        &self.program
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+}
+
+/// A borrowed view of one submitted job with its key resolved: the one
+/// shape [`Engine`]'s batch path works on, whichever kind of job was
+/// submitted.
+struct JobView<'a> {
+    program: &'a Program,
+    key: EvalKey,
+    params: &'a Params,
+    layout: &'a LayoutOptions,
+    label: &'a str,
+    span: Option<SpanId>,
+    attributed: bool,
 }
 
 /// Content-addressed identity of a measurement: two jobs with equal keys
@@ -238,6 +345,19 @@ pub struct EngineStats {
     /// Accesses accounted arithmetically instead of walked, across all
     /// compiled-backend simulations. Never recorded in run manifests.
     pub ff_accesses: u64,
+}
+
+impl std::ops::AddAssign for EngineStats {
+    fn add_assign(&mut self, d: EngineStats) {
+        self.requested += d.requested;
+        self.evaluated += d.evaluated;
+        self.cache_hits += d.cache_hits;
+        self.errors += d.errors;
+        self.store_hits += d.store_hits;
+        self.dedup_waits += d.dedup_waits;
+        self.ff_windows += d.ff_windows;
+        self.ff_accesses += d.ff_accesses;
+    }
 }
 
 impl EngineStats {
@@ -447,6 +567,17 @@ pub trait Evaluator {
 
     /// Measures every job, returning results in submission order.
     fn eval_batch(&self, jobs: &[EvalJob]) -> Vec<Result<Counters, ExecError>>;
+
+    /// Measures jobs that share their programs, under the same contract
+    /// as [`eval_batch`](Self::eval_batch): a shared job and its owned
+    /// equivalent ([`SharedJob::to_owned_job`]) give identical results.
+    /// The default deep-copies each program and calls `eval_batch`;
+    /// [`Engine`] overrides it to key and run the shared programs in
+    /// place.
+    fn eval_shared(&self, jobs: &[SharedJob]) -> Vec<Result<Counters, ExecError>> {
+        let owned: Vec<EvalJob> = jobs.iter().map(SharedJob::to_owned_job).collect();
+        self.eval_batch(&owned)
+    }
 
     /// Measures a single job.
     ///
@@ -773,8 +904,10 @@ impl Engine {
         ))
     }
 
-    /// The memo key of `job` on this engine.
-    pub fn key(&self, job: &EvalJob) -> EvalKey {
+    /// The memo key of `job` on this engine. Owned and shared jobs for
+    /// the same program, params, layout and attribution get the same
+    /// key.
+    pub fn key<P: JobProgram>(&self, job: &EvalJob<P>) -> EvalKey {
         let mut h2 = Fnv64::new();
         h2.write_u64(self.machine_fp);
         h2.write_u64(job.layout.base_addr);
@@ -784,7 +917,41 @@ impl Engine {
             h2.write_i64(val);
         }
         h2.write_u8(u8::from(job.attributed));
-        EvalKey(program_fingerprint(&job.program), h2.finish())
+        EvalKey(job.program.fingerprint(), h2.finish())
+    }
+
+    /// A view of this engine that reports `events` as its event stream
+    /// and its own work totals: every measurement, memo and cache stays
+    /// the engine's, but [`Evaluator::stats`] counts only the batches
+    /// submitted through the view. The `eco serve` daemon gives each
+    /// request one, so concurrent requests on a shared engine each
+    /// report their own work.
+    pub fn view(&self, events: Arc<EventStream>) -> EngineView<'_> {
+        EngineView {
+            engine: self,
+            events,
+            stats: labeled_mutex("engine.view.stats", EngineStats::default()),
+        }
+    }
+
+    /// Measures `jobs` through [`run_batch`](Self::run_batch).
+    fn run_jobs<P: JobProgram>(
+        &self,
+        jobs: &[EvalJob<P>],
+    ) -> (Vec<Result<Counters, ExecError>>, EngineStats) {
+        let views: Vec<JobView<'_>> = jobs
+            .iter()
+            .map(|job| JobView {
+                program: job.program.program(),
+                key: self.key(job),
+                params: &job.params,
+                layout: &job.layout,
+                label: &job.label,
+                span: job.span,
+                attributed: job.attributed,
+            })
+            .collect();
+        self.run_batch(&views)
     }
 
     /// The machine-description fingerprint folded into every memo key;
@@ -827,19 +994,18 @@ enum Slot {
     Wait(usize),
 }
 
-impl Evaluator for Engine {
-    fn machine(&self) -> &MachineDesc {
-        &self.machine
-    }
-
-    fn eval_batch(&self, jobs: &[EvalJob]) -> Vec<Result<Counters, ExecError>> {
+impl Engine {
+    /// The batch path behind both [`Evaluator`] entry points: measures
+    /// every job and returns the results in submission order together
+    /// with this batch's share of [`EngineStats`], which is also added
+    /// to the engine's running totals.
+    fn run_batch(&self, jobs: &[JobView<'_>]) -> (Vec<Result<Counters, ExecError>>, EngineStats) {
         let batch_start = Instant::now();
         // Phase 1: classify each job against the memo cache, within
         // the batch, and against concurrent batches' in-flight work,
         // preserving submission order in `slots`. Both locks are held
         // across the loop so a key's state (memoized / in flight /
         // fresh) cannot change mid-classification.
-        let keys: Vec<EvalKey> = jobs.iter().map(|j| self.key(j)).collect();
         let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
         let mut unique: Vec<usize> = Vec::new();
         let mut cells: Vec<Arc<InflightCell>> = Vec::new();
@@ -848,7 +1014,7 @@ impl Evaluator for Engine {
             let memo = self.memo.lock().expect("memo lock");
             let mut inflight = self.inflight.lock().expect("inflight lock");
             let mut owner: HashMap<EvalKey, usize> = HashMap::new();
-            for (i, k) in keys.iter().enumerate() {
+            for (i, k) in jobs.iter().map(|j| &j.key).enumerate() {
                 if let Some(hit) = memo.get(k) {
                     slots.push(Slot::Memo(hit.clone()));
                     continue;
@@ -890,7 +1056,7 @@ impl Evaluator for Engine {
         let cursor = AtomicUsize::new(0);
         let run_one = |u: usize| {
             let job = &jobs[unique[u]];
-            let key = keys[unique[u]];
+            let key = job.key;
             let guard = cells.get(u).map(|cell| CellGuard { cell, armed: true });
             let started = Instant::now();
             let store = self.store.as_ref().filter(|_| self.memoize);
@@ -902,21 +1068,21 @@ impl Evaluator for Engine {
                 None => {
                     let result = match (self.backend, job.attributed) {
                         (ExecBackend::Compiled, false) => self
-                            .plan_for(&job.program, key.0)
+                            .plan_for(job.program, key.0)
                             .and_then(|plan| {
-                                plan.measure_with_stats(&job.params, &self.machine, &job.layout)
+                                plan.measure_with_stats(job.params, &self.machine, job.layout)
                             })
                             .map(|(c, s)| {
                                 ff = (s.ff_windows, s.ff_accesses);
                                 c
                             }),
                         (ExecBackend::Compiled, true) => self
-                            .plan_for(&job.program, key.0)
+                            .plan_for(job.program, key.0)
                             .and_then(|plan| {
                                 plan.measure_attributed_with_stats(
-                                    &job.params,
+                                    job.params,
                                     &self.machine,
-                                    &job.layout,
+                                    job.layout,
                                 )
                             })
                             .map(|(c, s)| {
@@ -924,13 +1090,13 @@ impl Evaluator for Engine {
                                 c
                             }),
                         (ExecBackend::Reference, false) => {
-                            measure_reference(&job.program, &job.params, &self.machine, &job.layout)
+                            measure_reference(job.program, job.params, &self.machine, job.layout)
                         }
                         (ExecBackend::Reference, true) => measure_attributed_reference(
-                            &job.program,
-                            &job.params,
+                            job.program,
+                            job.params,
                             &self.machine,
-                            &job.layout,
+                            job.layout,
                         ),
                     };
                     // Persist successes only: errors are cheap to
@@ -997,42 +1163,36 @@ impl Evaluator for Engine {
         if self.memoize {
             let mut memo = self.memo.lock().expect("memo lock");
             for (u, &i) in unique.iter().enumerate() {
-                memo.insert(keys[i], ran[u].0.clone());
+                memo.insert(jobs[i].key, ran[u].0.clone());
             }
             let mut inflight = self.inflight.lock().expect("inflight lock");
             for &i in &unique {
-                inflight.remove(&keys[i]);
+                inflight.remove(&jobs[i].key);
             }
         }
-        {
-            let errors = ran.iter().filter(|(r, _, _, _)| r.is_err()).count() as u64;
-            let store_hits = ran.iter().filter(|(_, _, hit, _)| *hit).count() as u64;
-            let (mut ff_windows, mut ff_accesses) = (0u64, 0u64);
-            for (_, _, _, (fw, fa)) in &ran {
-                ff_windows += fw;
-                ff_accesses += fa;
-            }
-            let mut stats = self.stats.lock().expect("stats lock");
-            stats.requested += jobs.len() as u64;
-            stats.evaluated += unique.len() as u64;
-            stats.cache_hits += (jobs.len() - unique.len() - waits.len()) as u64;
-            stats.errors += errors;
-            stats.store_hits += store_hits;
-            stats.dedup_waits += waits.len() as u64;
-            stats.ff_windows += ff_windows;
-            stats.ff_accesses += ff_accesses;
-            drop(stats);
-            let m = &self.metrics;
-            m.requested.add(jobs.len() as u64);
-            m.evaluated.add(unique.len() as u64);
-            m.memo_hits
-                .add((jobs.len() - unique.len() - waits.len()) as u64);
-            m.errors.add(errors);
-            m.store_hits.add(store_hits);
-            m.dedup_waits.add(waits.len() as u64);
-            m.ff_windows.add(ff_windows);
-            m.ff_accesses.add(ff_accesses);
+        let mut delta = EngineStats {
+            requested: jobs.len() as u64,
+            evaluated: unique.len() as u64,
+            cache_hits: (jobs.len() - unique.len() - waits.len()) as u64,
+            errors: ran.iter().filter(|(r, _, _, _)| r.is_err()).count() as u64,
+            store_hits: ran.iter().filter(|(_, _, hit, _)| *hit).count() as u64,
+            dedup_waits: waits.len() as u64,
+            ..EngineStats::default()
+        };
+        for (_, _, _, (fw, fa)) in &ran {
+            delta.ff_windows += fw;
+            delta.ff_accesses += fa;
         }
+        *self.stats.lock().expect("stats lock") += delta;
+        let m = &self.metrics;
+        m.requested.add(delta.requested);
+        m.evaluated.add(delta.evaluated);
+        m.memo_hits.add(delta.cache_hits);
+        m.errors.add(delta.errors);
+        m.store_hits.add(delta.store_hits);
+        m.dedup_waits.add(delta.dedup_waits);
+        m.ff_windows.add(delta.ff_windows);
+        m.ff_accesses.add(delta.ff_accesses);
         let mut out = Vec::with_capacity(jobs.len());
         for (i, slot) in slots.iter().enumerate() {
             let (result, cache_hit, wall_us, store_hit, dedup) = match slot {
@@ -1049,7 +1209,7 @@ impl Evaluator for Engine {
             }
             if let Some(events) = &self.events {
                 let mut attrs = Attrs::new()
-                    .str("label", &jobs[i].label)
+                    .str("label", jobs[i].label)
                     .str("program", &jobs[i].program.name)
                     .bool("cache_hit", cache_hit)
                     .uint("wall_us", wall_us);
@@ -1098,26 +1258,17 @@ impl Evaluator for Engine {
         }
         if let Some(events) = &self.events {
             let mut attrs = Attrs::new()
-                .uint("jobs", jobs.len() as u64)
-                .uint("unique", unique.len() as u64)
-                .uint(
-                    "memo_hits",
-                    (jobs.len() - unique.len() - waits.len()) as u64,
-                )
-                .uint(
-                    "errors",
-                    ran.iter().filter(|(r, _, _, _)| r.is_err()).count() as u64,
-                )
+                .uint("jobs", delta.requested)
+                .uint("unique", delta.evaluated)
+                .uint("memo_hits", delta.cache_hits)
+                .uint("errors", delta.errors)
                 .uint("workers", workers as u64)
                 .uint("wall_us", batch_start.elapsed().as_micros() as u64);
             if self.store.is_some() {
-                attrs = attrs.uint(
-                    "store_hits",
-                    ran.iter().filter(|(_, _, hit, _)| *hit).count() as u64,
-                );
+                attrs = attrs.uint("store_hits", delta.store_hits);
             }
-            if !waits.is_empty() {
-                attrs = attrs.uint("dedup_waits", waits.len() as u64);
+            if delta.dedup_waits > 0 {
+                attrs = attrs.uint("dedup_waits", delta.dedup_waits);
             }
             events.event(names::BATCH, None, attrs);
             let s = self.stats();
@@ -1134,7 +1285,21 @@ impl Evaluator for Engine {
             );
             events.flush();
         }
-        out
+        (out, delta)
+    }
+}
+
+impl Evaluator for Engine {
+    fn machine(&self) -> &MachineDesc {
+        &self.machine
+    }
+
+    fn eval_batch(&self, jobs: &[EvalJob]) -> Vec<Result<Counters, ExecError>> {
+        self.run_jobs(jobs).0
+    }
+
+    fn eval_shared(&self, jobs: &[SharedJob]) -> Vec<Result<Counters, ExecError>> {
+        self.run_jobs(jobs).0
     }
 
     fn stats(&self) -> EngineStats {
@@ -1147,6 +1312,52 @@ impl Evaluator for Engine {
 
     fn candidates(&self) -> Option<&CandidateMemo> {
         Some(&self.candidates)
+    }
+}
+
+/// One caller's view of a shared [`Engine`] ([`Engine::view`]): it
+/// measures through the engine and shares its memos, but reports its
+/// own event stream and only its own batches' work.
+#[derive(Debug)]
+pub struct EngineView<'a> {
+    engine: &'a Engine,
+    events: Arc<EventStream>,
+    stats: Mutex<EngineStats>,
+}
+
+impl EngineView<'_> {
+    fn record(
+        &self,
+        (out, delta): (Vec<Result<Counters, ExecError>>, EngineStats),
+    ) -> Vec<Result<Counters, ExecError>> {
+        *self.stats.lock().expect("view stats lock") += delta;
+        out
+    }
+}
+
+impl Evaluator for EngineView<'_> {
+    fn machine(&self) -> &MachineDesc {
+        self.engine.machine()
+    }
+
+    fn eval_batch(&self, jobs: &[EvalJob]) -> Vec<Result<Counters, ExecError>> {
+        self.record(self.engine.run_jobs(jobs))
+    }
+
+    fn eval_shared(&self, jobs: &[SharedJob]) -> Vec<Result<Counters, ExecError>> {
+        self.record(self.engine.run_jobs(jobs))
+    }
+
+    fn stats(&self) -> EngineStats {
+        *self.stats.lock().expect("view stats lock")
+    }
+
+    fn events(&self) -> Option<&Arc<EventStream>> {
+        Some(&self.events)
+    }
+
+    fn candidates(&self) -> Option<&CandidateMemo> {
+        self.engine.candidates()
     }
 }
 
@@ -1170,7 +1381,7 @@ fn resolve_threads(configured: usize) -> usize {
 /// One JSONL trace record (hand-rolled: the workspace has no JSON dep).
 fn trace_record(
     seq: usize,
-    job: &EvalJob,
+    job: &JobView<'_>,
     cache_hit: bool,
     wall_us: u64,
     result: &Result<Counters, ExecError>,
@@ -1179,7 +1390,7 @@ fn trace_record(
     let _ = write!(
         s,
         "{{\"seq\":{seq},\"label\":\"{}\",\"program\":\"{}\",\"params\":{{",
-        json_escape(&job.label),
+        json_escape(job.label),
         json_escape(&job.program.name),
     );
     for (i, &(v, val)) in job.params.pairs().iter().enumerate() {

@@ -65,8 +65,8 @@ mod trace;
 
 pub use candidates::{CandidateHasher, CandidateKey, CandidateMemo, Rejection, Verdict};
 pub use engine::{
-    program_fingerprint, Engine, EngineConfig, EngineStats, EvalJob, EvalKey, Evaluator,
-    ExecBackend,
+    program_fingerprint, Engine, EngineConfig, EngineStats, EngineView, EvalJob, EvalKey,
+    Evaluator, ExecBackend, JobProgram, SharedJob, SharedProgram,
 };
 pub use error::ExecError;
 pub use interp::interpret;

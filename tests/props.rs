@@ -269,6 +269,88 @@ fn compiled_plan_matches_reference_on_random_variants() {
     );
 }
 
+/// Owned and shared jobs for the same point get one memo key, for
+/// random generated programs, sizes, layouts and attribution flags: a
+/// point measured through either `Evaluator` entry point is a memo hit
+/// through the other.
+#[test]
+fn shared_and_owned_jobs_share_memo_keys() {
+    use eco_exec::{Engine, EngineConfig, EvalJob, Evaluator, SharedProgram};
+    let machine = MachineDesc::sgi_r10000().scaled(32);
+    let kernels = Kernel::all();
+    let mut runner = proptest::test_runner::TestRunner::deterministic();
+    let strategy = (
+        (0..kernels.len(), 0..16usize, 1u64..6),
+        prop::collection::vec(1u64..40, 3),
+        (7i64..26, 0u64..3, 0u32..2, 0u32..2),
+    );
+    let mut checked = 0usize;
+    for _ in 0..24 {
+        let ((ki, vi, u), ts, (n, pad, attributed, shared_first)) =
+            strategy.new_tree(&mut runner).expect("tree").current();
+        let kernel = &kernels[ki];
+        let nest = NestInfo::from_program(&kernel.program).expect("analyzable");
+        let variants = derive_variants(&nest, &machine, &kernel.program);
+        let v = &variants[vi % variants.len()];
+        let mut params = ParamValues::new();
+        let mut ti = ts.into_iter().cycle();
+        for nm in &v.param_names() {
+            let val = if nm.starts_with('U') {
+                u
+            } else {
+                ti.next().expect("cycle")
+            };
+            params.insert(nm.clone(), val);
+        }
+        let Ok(program) = generate(kernel, &nest, v, &params, &machine) else {
+            continue;
+        };
+        let layout = LayoutOptions {
+            base_addr: 0,
+            inter_array_pad_bytes: 64 * pad,
+        };
+        let owned = EvalJob::new(program.clone(), Params::new().with(kernel.size, n))
+            .with_layout(layout.clone())
+            .attributed(attributed == 1)
+            .with_label("owned");
+        let shared = EvalJob::new(
+            SharedProgram::new(program),
+            Params::new().with(kernel.size, n),
+        )
+        .with_layout(layout)
+        .attributed(attributed == 1)
+        .with_label("shared");
+        let engine =
+            Engine::with_config(machine.clone(), EngineConfig::new().threads(1)).expect("engine");
+        assert_eq!(
+            engine.key(&shared),
+            engine.key(&owned),
+            "{} {params:?}",
+            v.name
+        );
+        let shared = std::slice::from_ref(&shared);
+        let owned = std::slice::from_ref(&owned);
+        let (first, second) = if shared_first == 1 {
+            (engine.eval_shared(shared), engine.eval_batch(owned))
+        } else {
+            (engine.eval_batch(owned), engine.eval_shared(shared))
+        };
+        assert_eq!(first, second, "{} {params:?} N={n}", v.name);
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.evaluated, stats.cache_hits),
+            (1, 1),
+            "{} {params:?}: the second path hit the first's memo entry",
+            v.name
+        );
+        checked += 1;
+    }
+    assert!(
+        checked >= 8,
+        "only {checked}/24 random points were feasible; the property is near-vacuous"
+    );
+}
+
 /// The fast-forward exactness property is not vacuous: on the full-size
 /// (unscaled) machine a tiled matmul's working set is provably
 /// L1-resident, so the simulator fast-forwards the bulk of its accesses

@@ -2,14 +2,18 @@
 //! `--store` directory must produce byte-identical outputs while
 //! serving (nearly) every evaluation from disk instead of
 //! re-simulating. In process: a tune on an engine whose candidate memo
-//! is already warm must equal a cold tune, `certify` events included.
+//! is already warm must equal a cold tune, `certify` events included,
+//! and must submit the memo's own programs by reference; the copying
+//! default of `Evaluator::eval_shared` must tune exactly like `Engine`;
+//! and concurrent tunes through views of one engine each report only
+//! their own work.
 
 use eco_core::events::{field, EventStream};
 use eco_core::{
     run_manifest, Engine, EngineConfig, EngineStats, Evaluator, SearchOptions, TuneRequest,
     TuneResponse, Tuned,
 };
-use eco_exec::{CandidateMemo, Counters, EvalJob, ExecError};
+use eco_exec::{CandidateMemo, Counters, EvalJob, ExecError, SharedJob, SharedProgram};
 use eco_kernels::Kernel;
 use eco_machine::MachineDesc;
 use std::path::{Path, PathBuf};
@@ -141,60 +145,27 @@ fn eco_tune_warm_starts_across_processes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Evaluates through a shared engine but writes each run's search
-/// events to a buffer of its own, the way `eco serve` gives every
-/// request a stream while sharing the per-machine engine.
-struct PerRun<'a> {
-    engine: &'a Engine,
-    events: Arc<EventStream>,
-    buf: Arc<Mutex<Vec<u8>>>,
+/// A fresh event stream writing into a buffer the test can read, the
+/// way `eco serve` gives every request a stream of its own.
+fn buffered_stream() -> (Arc<EventStream>, Arc<Mutex<Vec<u8>>>) {
+    let buf = Arc::new(Mutex::new(Vec::new()));
+    let events = Arc::new(EventStream::to_shared_buffer(Arc::clone(&buf)));
+    (events, buf)
 }
 
-impl<'a> PerRun<'a> {
-    fn new(engine: &'a Engine) -> Self {
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        PerRun {
-            engine,
-            events: Arc::new(EventStream::to_shared_buffer(Arc::clone(&buf))),
-            buf,
-        }
-    }
-
-    /// The run's `certify` events as `variant ok code msg n` tuples.
-    fn certify_events(&self) -> Vec<String> {
-        self.events.flush();
-        let text = String::from_utf8(self.buf.lock().expect("buf lock").clone()).expect("utf8");
-        text.lines()
-            .filter(|l| field(l, "name") == Some("certify"))
-            .map(|l| {
-                ["variant", "ok", "code", "msg", "n"]
-                    .map(|k| field(l, k).unwrap_or("-"))
-                    .join(" ")
-            })
-            .collect()
-    }
-}
-
-impl Evaluator for PerRun<'_> {
-    fn machine(&self) -> &MachineDesc {
-        self.engine.machine()
-    }
-
-    fn eval_batch(&self, jobs: &[EvalJob]) -> Vec<Result<Counters, ExecError>> {
-        self.engine.eval_batch(jobs)
-    }
-
-    fn stats(&self) -> EngineStats {
-        self.engine.stats()
-    }
-
-    fn events(&self) -> Option<&Arc<EventStream>> {
-        Some(&self.events)
-    }
-
-    fn candidates(&self) -> Option<&CandidateMemo> {
-        self.engine.candidates()
-    }
+/// The `certify` events written so far, as `variant ok code msg n`
+/// tuples.
+fn certify_events(events: &EventStream, buf: &Mutex<Vec<u8>>) -> Vec<String> {
+    events.flush();
+    let text = String::from_utf8(buf.lock().expect("buf lock").clone()).expect("utf8");
+    text.lines()
+        .filter(|l| field(l, "name") == Some("certify"))
+        .map(|l| {
+            ["variant", "ok", "code", "msg", "n"]
+                .map(|k| field(l, k).unwrap_or("-"))
+                .join(" ")
+        })
+        .collect()
 }
 
 /// Everything a tune decides, in comparable form.
@@ -208,10 +179,14 @@ type Outcome = (
     Vec<String>,
 );
 
-/// Tunes `request` on `engine` and returns its outcome.
+/// Tunes `request` through a view of `engine` (a per-run event stream
+/// on the shared engine) and returns its outcome.
 fn tune_on(engine: &Engine, request: &TuneRequest) -> Outcome {
-    let run = PerRun::new(engine);
-    let t: Tuned = request.run_on(&run).expect("tune").tuned;
+    let (events, buf) = buffered_stream();
+    let t: Tuned = request
+        .run_on(&engine.view(Arc::clone(&events)))
+        .expect("tune")
+        .tuned;
     (
         format!("{:?}", t.variant),
         t.params.into_iter().collect(),
@@ -219,7 +194,7 @@ fn tune_on(engine: &Engine, request: &TuneRequest) -> Outcome {
         t.program.to_string(),
         t.counters,
         t.stats,
-        run.certify_events(),
+        certify_events(&events, &buf),
     )
 }
 
@@ -286,4 +261,170 @@ fn candidate_memo_never_aliases_kernels_or_size_lists() {
     let shared = Engine::new(machine);
     assert_eq!(tune_on(&shared, &single).5.points_rejected, 0);
     assert_eq!(tune_on(&shared, &robust), robust_cold);
+}
+
+/// Implements only what a minimal evaluator must: the required methods,
+/// plus `stats` so the run manifest's engine counts can be compared.
+/// Its searches therefore use the provided `eval_shared` (deep copies
+/// through `eval_batch`) and a candidate memo local to each search.
+struct RequiredOnly<'a>(&'a Engine);
+
+impl Evaluator for RequiredOnly<'_> {
+    fn machine(&self) -> &MachineDesc {
+        self.0.machine()
+    }
+
+    fn eval_batch(&self, jobs: &[EvalJob]) -> Vec<Result<Counters, ExecError>> {
+        self.0.eval_batch(jobs)
+    }
+
+    fn stats(&self) -> EngineStats {
+        self.0.stats()
+    }
+}
+
+#[test]
+fn provided_eval_shared_tunes_equal_engine_tunes() {
+    for machine in [MachineDesc::sgi_r10000(), MachineDesc::ultrasparc_iie()] {
+        let machine = machine.scaled(32);
+        for kernel in Kernel::all() {
+            let request = certified_request(kernel, machine.clone(), &[]);
+            let direct = request.run_on(&Engine::new(machine.clone())).expect("tune");
+            let engine = Engine::new(machine.clone());
+            let plain = request.run_on(&RequiredOnly(&engine)).expect("tune");
+            let what = format!("{} on {}", request.kernel.name, machine.name);
+            assert_eq!(
+                format!("{:?}", plain.tuned),
+                format!("{:?}", direct.tuned),
+                "{what}"
+            );
+            assert_eq!(plain.engine, direct.engine, "{what}");
+            assert_eq!(
+                manifest_of(&request, &plain),
+                manifest_of(&request, &direct),
+                "{what}"
+            );
+            assert_eq!(memo_len(&engine), 0, "{what}: the engine's memo unused");
+        }
+    }
+}
+
+/// Forwards to a view of an engine, recording every program the search
+/// submits by reference and counting jobs submitted as owned copies.
+struct Recording<'a> {
+    view: eco_exec::EngineView<'a>,
+    shared: Mutex<Vec<SharedProgram>>,
+    owned_jobs: Mutex<usize>,
+}
+
+impl Evaluator for Recording<'_> {
+    fn machine(&self) -> &MachineDesc {
+        self.view.machine()
+    }
+
+    fn eval_batch(&self, jobs: &[EvalJob]) -> Vec<Result<Counters, ExecError>> {
+        *self.owned_jobs.lock().expect("lock") += jobs.len();
+        self.view.eval_batch(jobs)
+    }
+
+    fn eval_shared(&self, jobs: &[SharedJob]) -> Vec<Result<Counters, ExecError>> {
+        let mut shared = self.shared.lock().expect("lock");
+        shared.extend(jobs.iter().map(|j| j.program.clone()));
+        drop(shared);
+        self.view.eval_shared(jobs)
+    }
+
+    fn stats(&self) -> EngineStats {
+        self.view.stats()
+    }
+
+    fn events(&self) -> Option<&Arc<EventStream>> {
+        self.view.events()
+    }
+
+    fn candidates(&self) -> Option<&CandidateMemo> {
+        self.view.candidates()
+    }
+}
+
+#[test]
+fn warm_retune_submits_the_memos_own_programs() {
+    let machine = MachineDesc::sgi_r10000().scaled(32);
+    let request = certified_request(Kernel::matmul(), machine.clone(), &[5]);
+    let engine = Engine::new(machine);
+    let cold = tune_on(&engine, &request);
+    let held = engine.candidates().expect("engines own a memo").programs();
+    let generated = memo_len(&engine);
+    let recording = Recording {
+        view: engine.view(buffered_stream().0),
+        shared: Mutex::new(Vec::new()),
+        owned_jobs: Mutex::new(0),
+    };
+    let warm = request.run_on(&recording).expect("warm tune");
+    assert_eq!(warm.tuned.stats, cold.5);
+    assert_eq!(
+        *recording.owned_jobs.lock().expect("lock"),
+        0,
+        "no deep copies"
+    );
+    let shared = recording.shared.into_inner().expect("lock");
+    assert_eq!(shared.len() as u64, warm.engine.requested);
+    for program in &shared {
+        assert!(
+            held.iter().any(|h| Arc::ptr_eq(h.arc(), program.arc())),
+            "submitted {} is not the memo's own program",
+            program.name
+        );
+    }
+    assert_eq!(memo_len(&engine), generated, "nothing generated");
+}
+
+#[test]
+fn concurrent_views_report_only_their_own_work() {
+    let machine = MachineDesc::sgi_r10000().scaled(32);
+    let requests = [
+        certified_request(Kernel::matmul(), machine.clone(), &[]),
+        certified_request(Kernel::jacobi3d(), machine.clone(), &[]),
+    ];
+    let serial: Vec<EngineStats> = requests
+        .iter()
+        .map(|r| {
+            r.run_on(&Engine::new(machine.clone()))
+                .expect("tune")
+                .engine
+        })
+        .collect();
+    let engine = Engine::new(machine);
+    let start = std::sync::Barrier::new(requests.len());
+    let concurrent: Vec<EngineStats> = std::thread::scope(|s| {
+        let handles: Vec<_> = requests
+            .iter()
+            .map(|r| {
+                let (engine, start) = (&engine, &start);
+                s.spawn(move || {
+                    let view = engine.view(buffered_stream().0);
+                    start.wait();
+                    r.run_on(&view).expect("tune").engine
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("no panic"))
+            .collect()
+    });
+    for (got, want) in concurrent.iter().zip(&serial) {
+        assert_eq!(got.requested, want.requested, "{got:?} vs serial {want:?}");
+        assert_eq!(
+            got.evaluated + got.cache_hits + got.dedup_waits,
+            got.requested,
+            "{got:?}"
+        );
+    }
+    let total = engine.stats();
+    assert_eq!(
+        total.requested,
+        serial.iter().map(|s| s.requested).sum::<u64>(),
+        "the engine's own totals still count every request"
+    );
 }
